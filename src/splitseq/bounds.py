@@ -37,6 +37,14 @@ class DimensionMismatch(ValueError):
     """Vector length does not match the matrix."""
 
 
+class ReplayMismatch(RuntimeError):
+    """Replaying a cycle's splits did not reproduce its recorded events."""
+
+
+class BoundViolated(ArithmeticError):
+    """A pushed curve broke the length or intersection bound it must satisfy."""
+
+
 @dataclass(frozen=True)
 class NormalCurve:
     """A multicurve in normal position, counted by crossings per branch."""
@@ -133,7 +141,8 @@ def _period_cusp_data(cycle: AgolCycle):
             u_name = cur_t.switch_of(BranchEnd(ev.branch, 0)).name
             v_name = cur_t.switch_of(BranchEnd(ev.branch, 1)).name
             t2, m2, elem, got = split(cur_t, cur_m, ev.branch)
-            assert got == ev, "replay disagrees with the recorded event"
+            if got != ev:
+                raise ReplayMismatch(f"replay gave {got}, the cycle recorded {ev}")
             # push the local crossing of ev.branch into start-track counts
             if composed is None:
                 local = [0] * t0.l
@@ -351,8 +360,10 @@ def push_curve(M: CarryingMatrix, curve: NormalCurve):
     int_bound = sum(v[i] * v2[i] for i in range(len(v)))
     r = r_of_psi(M)
     ell = sum(v)
-    assert len_bound <= r * ell
-    assert int_bound <= r * ell * ell
+    if len_bound > r * ell:
+        raise BoundViolated(f"pushed length {len_bound} exceeds r * length = {r * ell}")
+    if int_bound > r * ell * ell:
+        raise BoundViolated(f"pairing {int_bound} exceeds r * length^2 = {r * ell * ell}")
     return v2, len_bound, int_bound
 
 

@@ -3,17 +3,20 @@
 Elements are rational coordinate vectors in the power basis 1, lambda, ...,
 lambda^(d-1) for a monic integer minimal polynomial with a designated real
 root, pinned down by a rational isolating interval.  Signs of elements are
-decided exactly: the zero test is canonical-form comparison after reduction,
-and nonzero signs come from Sturm counts plus interval bisection, so weight
-comparisons (the consumers are branch-weight ties) never depend on floating
-point.
+decided exactly, so weight comparisons (the consumers are branch-weight
+ties) never depend on floating point.  The zero test is canonical-form
+comparison after reduction.  A nonzero sign comes from interval Horner
+evaluation over an isolating interval of lambda; when that enclosure
+straddles 0, the element's Sturm chain decides instead, and the interval
+is halved until one of the two settles it.  Each field keeps the tightest
+isolating interval any query has found, and the next query starts there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 class NonMonic(ValueError):
@@ -110,6 +113,9 @@ class NumberField:
 
     minpoly: tuple[int, ...]  # low-to-high, monic
     root_interval: tuple[Fraction, Fraction]
+    # Tightest isolating interval found by `_tighten` so far.  Not a dataclass
+    # field: it is a cache, outside the field's identity, repr and hash.
+    _tight = None
 
     @property
     def degree(self) -> int:
@@ -359,8 +365,35 @@ def _poly_divmod(a, b):
     return _trim(tuple(q)), _trim(tuple(r))
 
 
+def _tighten(f: NumberField, decide: Callable, start: tuple[Fraction, Fraction]):
+    """Halve an isolating interval of lambda until `decide(lo, hi)` answers.
+
+    Starts from `start`, returns the first answer that is not None, and
+    leaves the tightest interval seen cached on `f`, so the next sign query
+    starts from it.
+    """
+    lo, hi = start
+    while True:
+        answer = decide(lo, hi)
+        if answer is not None:
+            return answer
+        lo, hi = NumberField(f.minpoly, (lo, hi)).refine().root_interval
+        tight = f._tight or f.root_interval
+        if hi - lo < tight[1] - tight[0]:
+            object.__setattr__(f, "_tight", (lo, hi))
+
+
 def nf_sign(a: NFElement) -> int:
-    """Sign of the real number a(lambda): -1, 0, or +1, decided exactly."""
+    """Sign of the real number a(lambda): -1, 0, or +1, decided exactly.
+
+    The element's polynomial p is evaluated by interval Horner over the
+    field's cached isolating interval; an enclosure that excludes 0 gives
+    the sign.  If it straddles 0, p's Sturm chain is built once, and the
+    interval is halved until either the enclosure excludes 0 or the chain
+    shows that p has no root in it (then p's sign at an endpoint is the
+    answer).  The enclosure of a linear p is exact, so in degree 2 the
+    chain is never built.
+    """
     if a.is_zero():
         return 0
     f = a.field
@@ -368,13 +401,25 @@ def nf_sign(a: NFElement) -> int:
         v = _poly_eval(a.coeffs, Fraction(-f.minpoly[0], f.minpoly[1]))
         return 0 if v == 0 else (1 if v > 0 else -1)
     p = _trim(tuple(a.coeffs))
-    lo, hi = f.root_interval
-    while True:
-        vlo, vhi = _poly_eval(p, lo), _poly_eval(p, hi)
-        if vlo != 0 and vhi != 0 and sturm_count(p, lo, hi) == 0:
-            return 1 if vlo > 0 else -1
-        f = NumberField(f.minpoly, (lo, hi)).refine()
-        lo, hi = f.root_interval
+    chain = None
+
+    def decide(lo: Fraction, hi: Fraction) -> int | None:
+        nonlocal chain
+        vlo, vhi = _interval_eval(p, lo, hi)
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+        if len(p) <= 2:
+            return None
+        if chain is None:
+            chain = _sturm_chain(p)
+        plo, phi = _poly_eval(p, lo), _poly_eval(p, hi)
+        if plo != 0 and phi != 0 and _sign_changes(chain, lo) == _sign_changes(chain, hi):
+            return 1 if plo > 0 else -1
+        return None
+
+    return _tighten(f, decide, f._tight or f.root_interval)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +467,9 @@ def _largest_root_interval(p: tuple[int, ...]) -> tuple[Fraction, Fraction] | No
     """Isolating interval for the largest real root of p, or None if no real root."""
     pf = tuple(Fraction(c) for c in p)
     bound = Fraction(1) + max(abs(Fraction(c, p[-1])) for c in p[:-1]) if len(p) > 1 else Fraction(1)
+    gcd = _sturm_chain(pf)[-1]  # gcd(p, p'), up to a constant
+    if len(gcd) > 1:  # repeated roots break Sturm counts at a root: drop them
+        pf = _poly_divmod(pf, gcd)[0]
     lo, hi = -bound, bound
     if sturm_count(pf, lo, hi) == 0:
         return None
@@ -433,14 +481,17 @@ def _largest_root_interval(p: tuple[int, ...]) -> tuple[Fraction, Fraction] | No
         else:
             hi = mid
     # make endpoints non-roots so downstream sign logic is clean
-    while _poly_eval(pf, lo) == 0 or _poly_eval(pf, hi) == 0:
-        if _poly_eval(pf, hi) == 0:
-            hi += Fraction(1, 7)  # root stays the largest in (lo, hi]
-        if _poly_eval(pf, lo) == 0:
-            width = hi - lo
-            lo += width / 3
-            if sturm_count(pf, lo, hi) != 1:
-                lo -= width / 3 + Fraction(1, 10**6)
+    if _poly_eval(pf, hi) == 0:
+        hi += Fraction(1, 7)  # hi is the largest root; nothing lies above it
+        if _poly_eval(pf, hi) == 0 or sturm_count(pf, lo, hi) != 1:
+            raise NotIsolating("moving the upper endpoint off the largest root failed")
+    if _poly_eval(pf, lo) == 0:
+        # a smaller root: step up from it by ever smaller steps until the
+        # step lands below the largest root, where no other root lies
+        step = (hi - lo) / 2
+        while sturm_count(pf, lo + step, hi) != 1:
+            step /= 2
+        lo += step
     return lo, hi
 
 
@@ -469,9 +520,13 @@ def _interval_eval(
     coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction
 ) -> tuple[Fraction, Fraction]:
     """Horner evaluation of a polynomial over the interval [lo, hi]."""
-    alo = ahi = Fraction(0)
-    for c in reversed(tuple(coeffs)):
-        prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+    cs = tuple(coeffs)
+    alo = ahi = cs[-1] if cs else Fraction(0)
+    for c in reversed(cs[:-1]):
+        if alo == ahi:  # a point times [lo, hi]: two products bound it
+            prods = (alo * lo, alo * hi)
+        else:
+            prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
         alo, ahi = min(prods) + c, max(prods) + c
     return alo, ahi
 
@@ -501,17 +556,21 @@ def nf_minpoly(x: NFElement) -> tuple[tuple[Fraction, ...], tuple[Fraction, Frac
         q = -mono[0]
         return mono, (q - Fraction(1, 2), q + Fraction(1, 2))
     p = _trim(tuple(x.coeffs))
-    g = NumberField(f.minpoly, f.root_interval)
-    while True:
-        lo, hi = _interval_eval(p, *g.root_interval)
+
+    def isolates(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction] | None:
+        ylo, yhi = _interval_eval(p, lo, hi)
         if (
-            lo < hi
-            and _poly_eval(mono, lo) != 0
-            and _poly_eval(mono, hi) != 0
-            and sturm_count(mono, lo, hi) == 1
+            ylo < yhi
+            and _poly_eval(mono, ylo) != 0
+            and _poly_eval(mono, yhi) != 0
+            and sturm_count(mono, ylo, yhi) == 1
         ):
-            return mono, (lo, hi)
-        g = g.refine()
+            return ylo, yhi
+        return None
+
+    # from the field's own interval, not the cache, so the answer does not
+    # depend on which sign queries ran before
+    return mono, _tighten(f, isolates, f.root_interval)
 
 
 def pf_eigendata(M: Sequence[Sequence[int]]):
@@ -536,7 +595,8 @@ def pf_eigendata(M: Sequence[Sequence[int]]):
             continue
         if best is None or _root_greater(fac, iv, best[0], best[1]):
             best = (fac, iv)
-    assert best is not None, "a primitive matrix has a real dominant eigenvalue"
+    if best is None:  # Perron-Frobenius: a primitive matrix has a real dominant eigenvalue
+        raise NotPerronFrobenius("characteristic polynomial has no real root")
     minpoly, interval = best
     field = field_create(list(minpoly), interval)
 

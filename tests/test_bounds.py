@@ -6,6 +6,7 @@ M^2 = [[4,2,1],[1,0,2],[4,1,4]] still has a zero, and
 M^3 = [[9,4,4],[4,1,4],[12,4,9]] is positive with row sums (17, 9, 25).
 """
 
+import dataclasses
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,13 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitseq import bounds
 from splitseq.bounds import (
     BoundReport,
+    BoundViolated,
     DimensionMismatch,
     IncompatibleCoordinates,
     NormalCurve,
     NotAnExtension,
     NotPrimitive,
+    ReplayMismatch,
     _iterate_cusp_data,
     _period_cusp_data,
     bound_report,
@@ -34,7 +38,7 @@ from splitseq.bounds import (
     r_of_psi,
     report_text,
 )
-from splitseq.splitting import CarryingMatrix, find_agol_cycle
+from splitseq.splitting import CarryingMatrix, SplitCase, find_agol_cycle
 from splitseq.traintrack import DiagonalExtension, diagonal_extensions, parse_track, regions
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -182,6 +186,23 @@ def test_push_curve_torus():
     assert int_bound == 2 * 6 + 2 * 2 + 2 * 6 == 28 <= 3 * 36
     with pytest.raises(DimensionMismatch):
         push_curve(M, NormalCurve((1, 1)))
+
+
+def test_push_curve_bound_check_raises_a_typed_error(monkeypatch):
+    # the bounds are theorems; a wrong r must still trip the checks under -O
+    M = CarryingMatrix(("a", "b", "c"), ("a", "b", "c"), TORUS_M)
+    monkeypatch.setattr(bounds, "r_of_psi", lambda M: 1)
+    with pytest.raises(BoundViolated):
+        push_curve(M, NormalCurve((2, 2, 2)))
+
+
+def test_cusp_data_refuses_a_tampered_cycle():
+    cyc = torus_cycle()
+    first, *rest = cyc.events[0]
+    flipped = SplitCase.LEFT if first.case is SplitCase.RIGHT else SplitCase.RIGHT
+    events = ((dataclasses.replace(first, case=flipped), *rest),) + cyc.events[1:]
+    with pytest.raises(ReplayMismatch):
+        _period_cusp_data(dataclasses.replace(cyc, events=events))
 
 
 # --- closed formulas ---

@@ -12,17 +12,20 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from splitseq import numberfield
 from splitseq.numberfield import (
     DivisionByZero,
     NonMonic,
     NotIsolating,
     NotPerronFrobenius,
     NumberField,
+    _largest_root_interval,
     field_create,
     nf_arith,
     nf_const,
     nf_element,
     nf_gen,
+    nf_minpoly,
     nf_sign,
     pf_eigendata,
     sturm_count,
@@ -244,3 +247,135 @@ def test_refine_preserves_field_identity():
     wide_lo, wide_hi = TRACE_FIELD.root_interval
     assert wide_lo <= lo < hi <= wide_hi
     assert sturm_count(tuple(Fraction(c) for c in refined.minpoly), lo, hi) == 1
+
+
+# --- the sign path: interval Horner on a cached interval, Sturm as fallback
+
+# x^3 - 3x + 1 has three real roots, about -1.879, 0.347 and 1.532
+CUBIC = (1, -3, 0, 1)
+CUBIC_INTERVALS = ((F(-2), F(-1)), (F(0), F(1, 2)), (F(1), F(2)))
+
+
+def _cubic_value(root_index, coeffs):
+    x = sympy.CRootOf(sympy.Poly(list(reversed(CUBIC)), sympy.Symbol("x")), root_index)
+    return sum(sympy.Rational(c) * x**i for i, c in enumerate(coeffs))
+
+
+def _sign_oracle(value):
+    """Sign of an exact sympy number, read off a 100-digit evaluation."""
+    v = sympy.N(value, 100)
+    assert v == 0 or abs(v) > sympy.Float("1e-60", 100), "oracle too coarse"
+    return 0 if v == 0 else (1 if v > 0 else -1)
+
+
+@given(st.integers(0, 2), rationals, rationals, rationals)
+@settings(max_examples=60, deadline=None)
+def test_sign_matches_sympy_in_degree_three(k, c0, c1, c2):
+    field = field_create(CUBIC, CUBIC_INTERVALS[k])
+    a = nf_element(field, (c0, c1, c2))
+    assert nf_sign(a) == _sign_oracle(_cubic_value(k, a.coeffs))
+    assert nf_sign(-a) == -nf_sign(a)
+
+
+def test_sign_near_a_root_of_the_element_uses_one_sturm_chain(monkeypatch):
+    # a = x^2 - 2.345 x + 0.7 has a root at 0.3511, near the cubic's root
+    # 0.3473, so the first enclosures straddle 0 and the chain decides
+    field = field_create(CUBIC, CUBIC_INTERVALS[1])
+    a = nf_element(field, (F(7, 10), F(-469, 200), 1))
+    built = []
+    real_chain = numberfield._sturm_chain
+    monkeypatch.setattr(numberfield, "_sturm_chain", lambda p: built.append(p) or real_chain(p))
+    assert nf_sign(a) == _sign_oracle(_cubic_value(1, a.coeffs)) == 1
+    assert len(built) == 1
+
+
+def test_conjugate_fields_keep_separate_intervals():
+    # golden ratio phi ~ 1.618 and its conjugate psi ~ -0.618: one minpoly
+    phi = field_create([-1, -1, 1], (F(3, 2), 2))
+    psi = field_create([-1, -1, 1], (F(-1), F(0)))
+    assert phi != psi and hash(phi) == hash(psi)
+    # warm both caches with a query that needs a tight interval
+    assert nf_sign(nf_element(phi, (1346269, -832040))) == 1
+    assert nf_sign(nf_element(psi, (-1, 2))) == -1  # 2 psi - 1 ~ -2.236
+    cubics = [field_create(CUBIC, iv) for iv in CUBIC_INTERVALS]
+    for f in cubics:
+        nf_sign(nf_element(f, (F(-1, 3), F(-5, 7), 1)))
+    probes = [(F(-8, 5), 1), (F(1, 2), 1), (F(-3, 5), 1), (F(-2, 3), 1), (0, 1)]
+    for _ in range(3):
+        for c0, c1 in probes:
+            for f, root in ((phi, (1 + sympy.sqrt(5)) / 2), (psi, (1 - sympy.sqrt(5)) / 2)):
+                expected = _sign_oracle(sympy.Rational(c0) + sympy.Rational(c1) * root)
+                assert nf_sign(nf_element(f, (c0, c1))) == expected
+            for k, f in enumerate(cubics):
+                coeffs = (c0, c1, F(1, 3))
+                assert nf_sign(nf_element(f, coeffs)) == _sign_oracle(_cubic_value(k, coeffs))
+
+
+def test_sign_of_nearly_zero_fibonacci_difference():
+    # F_31 - phi F_30 = psi^30 ~ 5.4e-7 > 0, and F_32 - phi F_31 = psi^31 < 0
+    golden = field_create([-1, -1, 1], (F(3, 2), 2))
+    tiny = nf_element(golden, (1346269, -832040))
+    assert nf_sign(tiny) == 1
+    assert nf_sign(-tiny) == -1
+    assert nf_sign(nf_element(golden, (2178309, -1346269))) == -1
+    assert nf_sign(tiny) == 1
+
+
+def test_warm_cache_needs_no_refinement(monkeypatch):
+    golden = field_create([-1, -1, 1], (F(3, 2), 2))
+    tiny = nf_element(golden, (1346269, -832040))
+    calls = []
+    real_refine = NumberField.refine
+    monkeypatch.setattr(NumberField, "refine", lambda self, steps=1: calls.append(steps) or real_refine(self, steps))
+    assert nf_sign(tiny) == 1
+    assert len(calls) > 10  # a cold field starts from the width-1/2 interval
+    calls.clear()
+    assert nf_sign(-tiny) == -1
+    assert nf_sign(nf_gen(golden) - F(8, 5)) == 1
+    assert calls == []
+
+
+def test_sign_queries_leave_field_identity_alone():
+    f = field_create([-1, -1, 1], (F(3, 2), 2))
+    twin = field_create([-1, -1, 1], (F(3, 2), 2))
+    other = field_create([-1, -1, 1], (F(8, 5), F(13, 8)))
+    before = (f.root_interval, hash(f), repr(f))
+    nf_sign(nf_element(f, (1346269, -832040)))
+    assert (f.root_interval, hash(f), repr(f)) == before
+    assert f == twin and hash(f) == hash(twin)
+    assert f == other  # same root, other interval
+    assert f.refine(3).root_interval == twin.refine(3).root_interval
+    assert nf_element(f, (1, 1)) == nf_element(twin, (1, 1))
+
+
+def test_minpoly_interval_ignores_earlier_sign_queries():
+    f = field_create([-1, -1, 1], (F(3, 2), 2))
+    x = nf_element(f, (F(1, 3), 2))
+    cold = nf_minpoly(x)
+    nf_sign(nf_element(f, (1346269, -832040)))
+    assert nf_minpoly(x) == cold
+
+
+# --- largest-root isolation
+
+
+def test_largest_root_interval_when_bisection_lands_on_a_root():
+    # x (x - 1) (x + 5): the first midpoint, 0, is a root
+    lo, hi = _largest_root_interval((0, -5, 4, 1))
+    p = (F(0), F(-5), F(4), F(1))
+    assert sturm_count(p, lo, hi) == 1
+    assert lo < 1 <= hi and not lo <= 0 <= hi
+    assert 0 not in (lo, hi) and 1 not in (lo, hi)
+
+
+@given(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_largest_root_interval_isolates_the_largest_root(roots):
+    p = (1,)
+    for r in roots:  # multiply by (x - r)
+        p = tuple(a - r * b for a, b in zip((0,) + p, p + (0,)))
+    lo, hi = _largest_root_interval(p)
+    pf = tuple(F(c) for c in p)
+    assert sturm_count(pf, lo, hi) == 1
+    assert lo < max(roots) < hi
+    assert all(not lo <= r <= hi for r in roots if r != max(roots))

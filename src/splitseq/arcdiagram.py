@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .splitting import AgolCycle, SplitCase, SplitEvent, split
+from .splitting import AgolCycle, SplitCase, SplitEvent, split_case
 from .traintrack import BranchEnd, TrainTrack, TrackIso, regions
 
 
@@ -430,12 +430,14 @@ def apply_split_slides(pre: ArcDiagram, event: SplitEvent) -> ArcDiagram:
     """Apply the slide pair of a split, then re-cut the two affected
     intervals.  The result equals the diagram built fresh from the
     post-split track, frames riding along untouched."""
-    first, second = split_to_arcslides(pre, event)
-    d = second.apply()
+    return _split_slides(pre, event)[1]
+
+
+def _split_slides(pre: ArcDiagram, event: SplitEvent) -> tuple[tuple[Arcslide, Arcslide], ArcDiagram]:
+    slides = split_to_arcslides(pre, event)
     front = event.case is SplitCase.LEFT
-    d = _recut(d, f"{event.branch}.0", front)
-    d = _recut(d, f"{event.branch}.1", front)
-    return d
+    d = _recut(slides[1].apply(), f"{event.branch}.0", front)
+    return slides, _recut(d, f"{event.branch}.1", front)
 
 
 def sigma_transport(event: SplitEvent, sigma: SpecialMark) -> SpecialMark:
@@ -879,30 +881,26 @@ def _relabel(
 def factorize(cycle: AgolCycle, sigma: SpecialMark) -> ArcslideSequence:
     """Arcslide factorization of a splitting cycle's surface automorphism.
 
-    Replays the cycle's splits on the special diagram of ``sigma`` (two
-    slides each), closes the period through the cycle's track isomorphism
-    (a rename step), and finally routes every frame handle back to its
-    original cusp with boundary adjustments.  The sequence starts and ends
-    at the same diagram, so its homology action is defined.
+    Turns each recorded split of the period into two slides on the special
+    diagram of ``sigma``, closes the period through the cycle's track
+    isomorphism (a rename step), and finally routes every frame handle back
+    to its original cusp with boundary adjustments.  The sequence starts and
+    ends at the same diagram, so its homology action is defined.  Each event
+    is checked against the recorded track and measure before its group.
     """
     t0 = cycle.start_track
     start = special_arc_diagram(t0, sigma)
     d = start
     slides: list[Arcslide] = []
-    t, mu = t0, cycle.start_measure
     cur = sigma
-    for group in cycle.events:
+    for t, mu, group in zip(cycle.period_tracks, cycle.period_measures, cycle.events):
         for ev in group:
-            first, second = split_to_arcslides(d, ev)
-            slides.extend((first, second))
-            d = second.apply()
-            front = ev.case is SplitCase.LEFT
-            d = _recut(d, f"{ev.branch}.0", front)
-            d = _recut(d, f"{ev.branch}.1", front)
+            if split_case(t, mu, ev.branch) is not ev.case:
+                raise NotALoop(f"recorded period does not split {ev.branch} {ev.case.value}")
+            pair, d = _split_slides(d, ev)
+            slides.extend(pair)
             cur = sigma_transport(ev, cur)
-            t, mu, _, got = split(t, mu, ev.branch)
-            if got != ev:
-                raise NotALoop(f"replay diverged at {ev}")
+    t = cycle.period_tracks[-1]
     ren = _iso_renames(cycle.iso, t)
     d = _relabel(d, cycle.iso, t0, t)
     sw_map = dict(cycle.iso.switches)

@@ -10,7 +10,7 @@ respect to the dual triangulation of the cycle's track.
 from dataclasses import dataclass
 from typing import Optional
 
-from .splitting import AgolCycle, CarryingMatrix, SplitCase, incidence_compose, split
+from .splitting import AgolCycle, CarryingMatrix, SplitCase, incidence_compose, split_case
 from .traintrack import (
     BranchEnd,
     DiagonalExtension,
@@ -38,7 +38,7 @@ class DimensionMismatch(ValueError):
 
 
 class ReplayMismatch(RuntimeError):
-    """Replaying a cycle's splits did not reproduce its recorded events."""
+    """A cycle's recorded events do not match its recorded period."""
 
 
 class BoundViolated(ArithmeticError):
@@ -125,49 +125,45 @@ def _period_cusp_data(cycle: AgolCycle):
     Returns (sigma, gamma) in the start-track frame: sigma sends each switch
     name to the name whose cusp the map lands on, and gamma[name] counts how
     often the connecting train path runs over each start-track branch.
+
+    Nothing is split again.  Group k of the events is read off the recorded
+    track and measure before it, the split branch's column off the product
+    of the earlier groups' matrices, and each event's case is checked there
+    (one exact sign).  This equals splitting the group one branch at a time:
+    a period holds no central split, and two large branches share no
+    switch, so no split of a group changes what another one reads.
     """
     t0 = cycle.start_track
-    order = {b: j for j, b in enumerate(t0.branches)}
     sigma = {sw.name: sw.name for sw in t0.switches}
     gamma = {sw.name: [0] * t0.l for sw in t0.switches}
     composed: Optional[CarryingMatrix] = None
 
-    cur_t = t0
-    cur_m = cycle.start_measure
-    for step in cycle.events:
+    for cur_t, cur_m, step, elem in zip(
+        cycle.period_tracks, cycle.period_measures, cycle.events, cycle.period_elems
+    ):
         for ev in step:
             if ev.case is SplitCase.CENTRAL:
                 raise ValueError("a cycle period cannot contain a central split")
-            u_name = cur_t.switch_of(BranchEnd(ev.branch, 0)).name
-            v_name = cur_t.switch_of(BranchEnd(ev.branch, 1)).name
-            t2, m2, elem, got = split(cur_t, cur_m, ev.branch)
-            if got != ev:
-                raise ReplayMismatch(f"replay gave {got}, the cycle recorded {ev}")
+            if split_case(cur_t, cur_m, ev.branch) is not ev.case:
+                raise ReplayMismatch(f"recorded period does not split {ev.branch} {ev.case.value}")
+            u_name, v_name = (cur_t.switch_of(BranchEnd(ev.branch, e)).name for e in (0, 1))
             # push the local crossing of ev.branch into start-track counts
             if composed is None:
-                local = [0] * t0.l
-                local[order[ev.branch]] = 1
+                local = [int(b == ev.branch) for b in t0.branches]
             else:
                 j = composed.cols.index(ev.branch)
                 local = [row[j] for row in composed.entries]
-            new_sigma = dict(sigma)
-            new_gamma = {k: list(v) for k, v in gamma.items()}
-            new_sigma[u_name] = sigma[v_name]
-            new_sigma[v_name] = sigma[u_name]
-            new_gamma[u_name] = [a + b for a, b in zip(local, gamma[v_name])]
-            new_gamma[v_name] = [a + b for a, b in zip(local, gamma[u_name])]
-            sigma, gamma = new_sigma, new_gamma
-            composed = elem if composed is None else incidence_compose(composed, elem)
-            cur_t, cur_m = t2, m2
+            sigma[u_name], sigma[v_name] = sigma[v_name], sigma[u_name]
+            gamma[u_name], gamma[v_name] = (
+                [a + b for a, b in zip(local, gamma[v_name])],
+                [a + b for a, b in zip(local, gamma[u_name])],
+            )
+        composed = elem if composed is None else incidence_compose(composed, elem)
 
     # fold the closing isomorphism in: a start-track cusp is first pulled
-    # back through it, then transported by the period
-    iso = cycle.iso
-    sw_map = {}
-    for sw in cur_t.switches:
-        e = sw.sides[0][0]
-        sw_map[sw.name] = t0.switch_of(iso.end_image(e)).name
-    inv = {v: k for k, v in sw_map.items()}
+    # back through it (the iso maps end-track switches to start-track ones),
+    # then transported by the period
+    inv = {start: end for end, start in cycle.iso.switches}
     psi_sigma = {name: sigma[inv[name]] for name in inv}
     psi_gamma = {name: tuple(gamma[inv[name]]) for name in inv}
     return psi_sigma, psi_gamma

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Sequence
 
 
@@ -61,25 +62,10 @@ def _poly_neg(p: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return tuple(-c for c in p)
 
 
-def _poly_rem(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and _trim(tuple(a)):
-        a = list(_trim(tuple(a)))
-        if len(a) - 1 < db:
-            break
-        q = a[-1] / lb
-        shift = len(a) - 1 - db
-        for i in range(len(b)):
-            a[shift + i] -= q * b[i]
-        a = a[:-1]
-    return _trim(tuple(a))
-
-
 def _sturm_chain(p: tuple[Fraction, ...]) -> list[tuple[Fraction, ...]]:
     chain = [_trim(p), _poly_deriv(p)]
     while chain[-1]:
-        r = _poly_rem(chain[-2], chain[-1])
+        r = _poly_divmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append(_poly_neg(r))
@@ -318,19 +304,17 @@ def _invert(b: NFElement) -> NFElement:
     if b.is_zero():
         raise DivisionByZero("division by zero element")
     f = b.field
-    # extended Euclid on (b, minpoly) over Q; gcd is 1 since minpoly is irreducible
-    r0 = _trim(tuple(b.coeffs))
-    r1 = tuple(Fraction(c) for c in f.minpoly)
-    s0: tuple[Fraction, ...] = (Fraction(1),)
-    s1: tuple[Fraction, ...] = ()
+    # extended Euclid on (minpoly, b), keeping b's cofactor only; gcd 1 by irreducibility
+    r0 = tuple(Fraction(c) for c in f.minpoly)
+    r1 = _trim(tuple(b.coeffs))
+    s0: tuple[Fraction, ...] = ()
+    s1: tuple[Fraction, ...] = (Fraction(1),)
     while r1:
         q, r = _poly_divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    # r0 = gcd (a nonzero constant); s0 * b = r0 (mod minpoly)
-    scale = r0[0]
-    inv = [c / scale for c in s0]
-    return NFElement(f, _reduce(f, inv + [Fraction(0)] * max(0, f.degree - len(inv))))
+    # r0 = gcd (a nonzero constant); s0 * b = r0 (mod minpoly), deg s0 < degree
+    return NFElement(f, _reduce(f, [c / r0[0] for c in s0]))
 
 
 def _poly_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -344,25 +328,24 @@ def _poly_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fractio
 
 
 def _poly_sub(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    n = max(len(a), len(b))
-    aa = tuple(a) + (Fraction(0),) * (n - len(a))
-    bb = tuple(b) + (Fraction(0),) * (n - len(b))
-    return _trim(tuple(x - y for x, y in zip(aa, bb)))
+    return _trim(tuple(x - y for x, y in zip_longest(a, b, fillvalue=Fraction(0))))
 
 
 def _poly_divmod(a, b):
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = list(a)
+    """Quotient and remainder of a by a trimmed nonzero b, both trimmed."""
+    r = list(_trim(tuple(a)))
     db, lb = len(b) - 1, b[-1]
-    while _trim(tuple(r)) and len(_trim(tuple(r))) - 1 >= db:
-        r = list(_trim(tuple(r)))
+    q = [Fraction(0)] * max(1, len(r) - db)
+    while len(r) > db:
         k = len(r) - 1 - db
         c = r[-1] / lb
         q[k] = c
-        for i in range(len(b)):
+        for i in range(db):  # the leading term cancels exactly
             r[k + i] -= c * b[i]
-        r = r[:-1]
-    return _trim(tuple(q)), _trim(tuple(r))
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return _trim(tuple(q)), tuple(r)
 
 
 def _tighten(f: NumberField, decide: Callable, start: tuple[Fraction, Fraction]):

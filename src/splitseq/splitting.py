@@ -68,6 +68,9 @@ class SplitCase(Enum):
     CENTRAL = "central"
 
 
+_CASE = {1: SplitCase.LEFT, -1: SplitCase.RIGHT, 0: SplitCase.CENTRAL}  # by sign of P - T
+
+
 @dataclass(frozen=True)
 class SplitEvent:
     branch: str
@@ -238,6 +241,18 @@ def _elem_with_row(t_pre, post_branches, branch, col_ends, tid_pre="", tid_post=
     return CarryingMatrix(rows, cols, tuple(ent), tid_pre, tid_post)
 
 
+def split_case(t: TrainTrack, m: Measure, branch: str) -> Optional[SplitCase]:
+    """The case a split of `branch` takes under `m`, or None if it is not large.
+
+    Reads the sign of weight(P) - weight(T), P the small-left branch at
+    end 0 and T the small-right branch at end 1; nothing is split.
+    """
+    if not is_large_branch(t, branch):
+        return None
+    u, v = t.switch_of(BranchEnd(branch, 0)), t.switch_of(BranchEnd(branch, 1))
+    return _CASE[nf_sign(m.weight(u.small_left.branch) - m.weight(v.small_right.branch))]
+
+
 def split(
     t: TrainTrack, m: Measure, branch: str
 ) -> tuple[TrainTrack, Measure, CarryingMatrix, SplitEvent]:
@@ -246,40 +261,43 @@ def split(
         raise NotLargeBranch(f"branch {branch!r} is not a large branch")
     if not check_measure(t, m):
         raise InvalidMeasure("measure must satisfy switch conditions and be nonnegative")
+    return _split(t, m, branch)
+
+
+def _split(
+    t: TrainTrack, m: Measure, branch: str
+) -> tuple[TrainTrack, Measure, CarryingMatrix, SplitEvent]:
+    # the split itself, on a large branch and a measure already checked
     e0, e1 = BranchEnd(branch, 0), BranchEnd(branch, 1)
     u, v = t.switch_of(e0), t.switch_of(e1)
     P, Q = u.small_left, u.small_right
     R, T = v.small_left, v.small_right
     a, c = m.weight(P.branch), m.weight(T.branch)
     side = nf_sign(a - c)
+    event = SplitEvent(branch, _CASE[side])
 
     weights = m.as_dict()
     if side == 0:
-        event = SplitEvent(branch, SplitCase.CENTRAL)
         merged = Switch(u.name, ((v.small_right, v.small_left), (u.small_right, u.small_left)))
         branches = tuple(b for b in t.branches if b != branch)
         switches = _replace_switches(t, {u.name, v.name}, [merged])
         del weights[branch]
-        elem = _elem_with_row(t, branches, branch, [R, T], track_id(t))
         marks = _transport_marks(t, branches, switches, {branch})
         t2 = TrainTrack(branches, tuple(switches), t.genus, marks)
         m2 = Measure.of(m.field, weights)
-        elem = CarryingMatrix(elem.rows, elem.cols, elem.entries, elem.target, track_id(t2))
+        elem = _elem_with_row(t, branches, branch, [R, T], track_id(t), track_id(t2))
         return t2, m2, elem, event
 
-    f0, f1 = BranchEnd(branch, 0), BranchEnd(branch, 1)
     if side > 0:
-        event = SplitEvent(branch, SplitCase.LEFT)
-        u2 = Switch.trivalent(u.name, P, f0, T)
-        v2 = Switch.trivalent(v.name, R, f1, Q)
+        u2 = Switch.trivalent(u.name, P, e0, T)
+        v2 = Switch.trivalent(v.name, R, e1, Q)
         weights[branch] = a - c
-        row_ends = [f0, T, Q]
+        row_ends = [e0, T, Q]
     else:
-        event = SplitEvent(branch, SplitCase.RIGHT)
-        u2 = Switch.trivalent(u.name, Q, R, f0)
-        v2 = Switch.trivalent(v.name, T, P, f1)
+        u2 = Switch.trivalent(u.name, Q, R, e0)
+        v2 = Switch.trivalent(v.name, T, P, e1)
         weights[branch] = c - a
-        row_ends = [f0, P, R]
+        row_ends = [e0, P, R]
     switches = _replace_switches(t, {u.name, v.name}, [u2, v2])
     branches = t.branches
     marks = _transport_marks(t, branches, switches, {branch})
@@ -372,7 +390,10 @@ def fold(t2: TrainTrack, m2: Measure, event: SplitEvent) -> tuple[TrainTrack, Me
 def maximal_split(
     t: TrainTrack, m: Measure
 ) -> tuple[TrainTrack, Measure, CarryingMatrix, tuple[SplitEvent, ...]]:
-    """Split every large branch whose weight equals the exact maximum."""
+    """Split every large branch whose weight equals the exact maximum.
+
+    The measure is checked once: splitting a tied branch keeps it valid and
+    the other tied branches large, as two large branches share no switch."""
     if not check_measure(t, m):
         raise InvalidMeasure("measure must satisfy switch conditions and be nonnegative")
     if any(nf_sign(w) != 1 for _, w in m.weights):
@@ -392,7 +413,7 @@ def maximal_split(
     elem: Optional[CarryingMatrix] = None
     events = []
     for b in best:
-        cur_t, cur_m, e, ev = split(cur_t, cur_m, b)
+        cur_t, cur_m, e, ev = _split(cur_t, cur_m, b)
         elem = e if elem is None else incidence_compose(elem, e)
         events.append(ev)
     assert elem is not None
@@ -523,7 +544,7 @@ def find_agol_cycle(t: TrainTrack, m: Measure, max_iters: int) -> AgolCycle:
 
 
 def cycle_report(c: AgolCycle) -> str:
-    """Structured text consumed by the downstream bound and diagram stages."""
+    """Plain-text summary of a cycle for people to read; no stage parses it."""
     mono, iv = nf_minpoly(c.lam)
     lines = [
         f"cycle n={c.n} m={c.m}",

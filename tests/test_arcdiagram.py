@@ -9,6 +9,7 @@ determinant 1, the companion data of the dilatation polynomial
 x^2 - 3x + 1.
 """
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -400,6 +401,16 @@ def test_factorize_torus_loop():
         assert capped[0][0] * capped[1][1] - capped[0][1] * capped[1][0] == 1
         assert _det_int([list(r) for r in full]) in (1, -1)
         assert seq.h1_matrix == full
+
+
+def test_factorize_refuses_a_tampered_cycle():
+    t, m = load("torus_anosov.track")
+    cyc = find_agol_cycle(t, m, 64)
+    first, *rest = cyc.events[0]
+    flipped = SplitCase.LEFT if first.case is SplitCase.RIGHT else SplitCase.RIGHT
+    events = ((dataclasses.replace(first, case=flipped), *rest),) + cyc.events[1:]
+    with pytest.raises(NotALoop, match="recorded period"):
+        factorize(dataclasses.replace(cyc, events=events), SpecialMark(frozenset({"u"})))
 
 
 def test_slide_and_inverse_cap_to_identity():

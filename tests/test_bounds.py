@@ -38,8 +38,27 @@ from splitseq.bounds import (
     r_of_psi,
     report_text,
 )
-from splitseq.splitting import CarryingMatrix, SplitCase, find_agol_cycle
-from splitseq.traintrack import DiagonalExtension, diagonal_extensions, parse_track, regions
+from splitseq.numberfield import nf_const
+from splitseq.splitting import (
+    AgolCycle,
+    CarryingMatrix,
+    SplitCase,
+    find_agol_cycle,
+    incidence_compose,
+    maximal_split,
+    split,
+    split_case,
+    track_id,
+)
+from splitseq.traintrack import (
+    BranchEnd,
+    DiagonalExtension,
+    Measure,
+    diagonal_extensions,
+    parse_track,
+    regions,
+)
+from trackgen import RATIONALS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -203,6 +222,53 @@ def test_cusp_data_refuses_a_tampered_cycle():
     events = ((dataclasses.replace(first, case=flipped), *rest),) + cyc.events[1:]
     with pytest.raises(ReplayMismatch):
         _period_cusp_data(dataclasses.replace(cyc, events=events))
+
+
+def _column(M: CarryingMatrix, branch: str) -> list[int]:
+    j = M.cols.index(branch)
+    return [row[j] for row in M.entries]
+
+
+def _ends(t, branch: str) -> tuple[str, str]:
+    return tuple(t.switch_of(BranchEnd(branch, e)).name for e in (0, 1))
+
+
+def test_tie_groups_read_the_same_from_the_group_start():
+    # each maximal split below is a non-central tie of two branches; what
+    # _period_cusp_data reads off the group's start must match what
+    # splitting the group's branches one after another gives
+    t, _ = parse_track((FIXTURES / "genus2_tie.track").read_text())
+    weights = dict(zip(t.branches, (9, 2, 9, 7, 5, 4, 7, 5, 2)))
+    m = Measure.of(RATIONALS, {b: nf_const(RATIONALS, w) for b, w in weights.items()})
+    product = CarryingMatrix.identity(t.branches, track_id(t))
+    for _ in range(2):
+        t2, m2, elem, events = maximal_split(t, m)
+        assert len(events) == 2
+        assert all(ev.case is not SplitCase.CENTRAL for ev in events)
+        cur_t, cur_m, running = t, m, product
+        for ev in events:
+            assert _ends(t, ev.branch) == _ends(cur_t, ev.branch)
+            assert _column(product, ev.branch) == _column(running, ev.branch)
+            case = split_case(t, m, ev.branch)
+            cur_t, cur_m, e, got = split(cur_t, cur_m, ev.branch)
+            assert got == ev and case is got.case
+            running = incidence_compose(running, e)
+        product = incidence_compose(product, elem)
+        assert running.entries == product.entries
+        t, m = t2, m2
+
+
+def test_cusp_data_refuses_a_central_split():
+    # the fixture's own measure ties b0 and b2, and splits b0 centrally
+    t, m = parse_track((FIXTURES / "genus2_tie.track").read_text())
+    t2, m2, elem, events = maximal_split(t, m)
+    assert [ev.case for ev in events] == [SplitCase.CENTRAL, SplitCase.LEFT]
+    cyc = AgolCycle(
+        n=0, m=1, iso=None, lam=nf_const(m.field, 2), cycle_matrix=elem, events=(events,),
+        period_tracks=(t, t2), period_measures=(m, m2), period_elems=(elem,),
+    )
+    with pytest.raises(ValueError, match="central"):
+        _period_cusp_data(cyc)
 
 
 # --- closed formulas ---

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splitseq import numberfield
@@ -19,7 +19,9 @@ from splitseq.numberfield import (
     NotIsolating,
     NotPerronFrobenius,
     NumberField,
+    _invert,
     _largest_root_interval,
+    _poly_divmod,
     field_create,
     nf_arith,
     nf_const,
@@ -354,6 +356,35 @@ def test_minpoly_interval_ignores_earlier_sign_queries():
     cold = nf_minpoly(x)
     nf_sign(nf_element(f, (1346269, -832040)))
     assert nf_minpoly(x) == cold
+
+
+# --- polynomial division and inversion
+
+small_fracs = st.builds(F, st.integers(-9, 9), st.integers(1, 5))
+
+
+@given(st.lists(small_fracs, max_size=7), st.lists(small_fracs, min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_poly_divmod_recombines(a, b):
+    b = b[:-1] + [b[-1] or F(1)]  # nonzero leading coefficient
+    q, r = _poly_divmod(a, b)
+    assert len(r) < len(b) and (not r or r[-1] != 0)
+    n = max(len(a), len(q) + len(b))
+    got = list(r) + [F(0)] * (n - len(r))  # q * b + r
+    for i, x in enumerate(q):
+        for j, y in enumerate(b):
+            got[i + j] += x * y
+    assert got == list(a) + [F(0)] * (n - len(a))
+
+
+@given(st.integers(2, 5), st.lists(small_fracs, min_size=5, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_inverse_times_element_is_one(d, coeffs):
+    # x^d - 2 is irreducible (Eisenstein at 2), its real root 2^(1/d) lies in (1, 2)
+    f = field_create([-2] + [0] * (d - 1) + [1], (1, 2))
+    x = nf_element(f, coeffs[:d])
+    assume(not x.is_zero())
+    assert nf_arith("mul", x, _invert(x)).coeffs == (1,) + (0,) * (d - 1)
 
 
 # --- largest-root isolation

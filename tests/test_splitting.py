@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import fixture_text
-from splitseq.numberfield import _is_primitive, nf_const, nf_element, nf_minpoly
+from splitseq.numberfield import _is_primitive, nf_const, nf_element, nf_minpoly, nf_sign
 from splitseq.splitting import (
     CarryingMatrix,
     ChainMismatch,
@@ -250,6 +250,15 @@ def test_maximal_split_needs_positive_measure():
     zero = Measure.of(m.field, {b: nf_const(m.field, 0) for b in t.branches})
     with pytest.raises(InvalidMeasure):
         maximal_split(t, zero)
+
+
+def test_maximal_split_rejects_broken_switch_condition():
+    t, m = torus()
+    bad = m.as_dict()
+    bad["a"] = bad["a"] + nf_const(m.field, 1)  # positive, but a + b != c
+    assert all(nf_sign(w) == 1 for w in bad.values())
+    with pytest.raises(InvalidMeasure):
+        maximal_split(t, Measure.of(m.field, bad))
 
 
 def test_maximal_split_exhaustion_after_central():

@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .numberfield import _det_int
 from .splitting import AgolCycle, SplitCase, SplitEvent, split_case
 from .traintrack import BranchEnd, TrainTrack, TrackIso, regions
 
@@ -480,7 +481,8 @@ def _move_frame(
         i, j = d.position(y)
         if i == i_to and j == 0:
             break
-        assert j > 0 and budget > 0, "back foot ran off its route"
+        if j == 0 or budget <= 0:
+            raise MalformedDiagram("back foot ran off its route")
         sl = Arcslide(d, y, d.intervals[i][j - 1])
         slides.append(sl)
         d = sl.apply()
@@ -489,7 +491,8 @@ def _move_frame(
         i, j = d.position(x)
         if i == i_to and j == len(d.intervals[i]) - 1:
             break
-        assert j < len(d.intervals[i]) - 1 and budget > 0, "front foot ran off its route"
+        if j == len(d.intervals[i]) - 1 or budget <= 0:
+            raise MalformedDiagram("front foot ran off its route")
         sl = Arcslide(d, x, d.intervals[i][j + 1])
         slides.append(sl)
         d = sl.apply()
@@ -676,29 +679,6 @@ def _smith_row_ops(
         if fixed:
             rank += 1
     return a, u, uinv, rank
-
-
-def _det_int(a: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant; consumes its argument."""
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            for t in range(i + 1, n):
-                if a[t][i]:
-                    a[i], a[t] = a[t], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for j in range(i + 1, n):
-            for t in range(i + 1, n):
-                a[j][t] = (a[j][t] * a[i][i] - a[j][i] * a[i][t]) // prev
-        prev = a[i][i]
-    return sign * a[n - 1][n - 1]
 
 
 def h1_action(

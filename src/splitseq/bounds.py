@@ -219,6 +219,16 @@ def _diag_names(ext: DiagonalExtension) -> list[tuple[str, int, tuple[int, int]]
     return out
 
 
+def _cycle_transport(cycle: AgolCycle):
+    """What every extension of a cycle shares: K-fold cusp data and M^K."""
+    K = power_positive_K(cycle.cycle_matrix)
+    sigma, gamma = _iterate_cusp_data(cycle, K)
+    mk = cycle.cycle_matrix.entries
+    for _ in range(K - 1):
+        mk = _mat_mul(mk, cycle.cycle_matrix.entries)
+    return sigma, gamma, mk
+
+
 def extension_incidence(
     cycle: AgolCycle, ext: DiagonalExtension
 ) -> tuple[DiagonalExtension, CarryingMatrix]:
@@ -231,12 +241,12 @@ def extension_incidence(
     upper-left block, one extra row per image diagonal and one extra column
     per original diagonal.
     """
-    t0 = cycle.start_track
-    regs = regions(t0)
-    _check_extension(t0, regs, ext)
-    K = power_positive_K(cycle.cycle_matrix)
-    sigma, gamma = _iterate_cusp_data(cycle, K)
+    regs = regions(cycle.start_track)
+    _check_extension(cycle.start_track, regs, ext)
+    return _extension_incidence(cycle.start_track, regs, ext, *_cycle_transport(cycle))
 
+
+def _extension_incidence(t0: TrainTrack, regs, ext: DiagonalExtension, sigma, gamma, mk):
     # locate each region by its cusp set and map chords through sigma
     cusp_region = {}
     cusp_pos = {}
@@ -265,9 +275,6 @@ def extension_incidence(
     row_diags = _diag_names(ext2)
     row_names = {(i, ch): nm for nm, i, ch in row_diags}
 
-    mk = cycle.cycle_matrix.entries
-    for _ in range(K - 1):
-        mk = _mat_mul(mk, cycle.cycle_matrix.entries)
     rows = t0.branches + tuple(nm for nm, _, _ in row_diags)
     cols = t0.branches + tuple(nm for nm, _, _ in col_diags)
     ent = []
@@ -287,10 +294,17 @@ def extension_incidence(
 
 
 def c_of_psi(cycle: AgolCycle) -> int:
-    """Worst doubled row sum over every maximal diagonal extension, plus one."""
+    """Worst doubled row sum over every maximal diagonal extension, plus one.
+
+    The cusp transport and M^K are computed once and shared by all
+    extensions."""
+    t0 = cycle.start_track
+    regs = regions(t0)
+    shared = _cycle_transport(cycle)
     best = 0
-    for ext in diagonal_extensions(cycle.start_track):
-        _, N = extension_incidence(cycle, ext)
+    for ext in diagonal_extensions(t0):
+        _check_extension(t0, regs, ext)
+        _, N = _extension_incidence(t0, regs, ext, *shared)
         best = max(best, max(sum(row) for row in N.entries))
     return 2 * best + 1
 

@@ -1,12 +1,17 @@
 """Exact arithmetic in a real algebraic number field Q(lambda).
 
-Elements are rational coordinate vectors in the power basis 1, lambda, ...,
-lambda^(d-1) for a monic integer minimal polynomial with a designated real
-root, pinned down by a rational isolating interval.  Signs of elements are
-decided exactly, so weight comparisons (the consumers are branch-weight
-ties) never depend on floating point.  The zero test is canonical-form
-comparison after reduction.  A nonzero sign comes from interval Horner
-evaluation over an isolating interval of lambda; when that enclosure
+An element is an integer coordinate vector `num` in the power basis 1,
+lambda, ..., lambda^(d-1) over one positive denominator `den`, kept in
+lowest terms, for a monic integer minimal polynomial with a designated real
+root pinned down by a rational isolating interval.  Addition and
+multiplication run on Python ints (a product is reduced modulo the monic
+minimal polynomial, so no denominator enters), and inversion solves the
+multiplication matrix by Cramer's rule on fraction-free determinants.
+Signs of elements are decided exactly, so weight comparisons (the
+consumers are branch-weight ties) never depend on floating point.  The zero
+test is a look at the numerators.  A nonzero sign comes from interval
+Horner evaluation of `num` over an isolating interval of lambda, in
+integers over the endpoints' common denominator; when that enclosure
 straddles 0, the element's Sturm chain decides instead, and the interval
 is halved until one of the two settles it.  Each field keeps the tightest
 isolating interval any query has found, and the next query starts there.
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 
@@ -37,7 +42,7 @@ class NotPerronFrobenius(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomials over Fraction, low-to-high coefficient tuples
+# dense polynomials over Fraction (or int), low-to-high coefficient tuples
 
 
 def _trim(p: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -109,6 +114,8 @@ class NumberField:
 
     def __eq__(self, other) -> bool:
         # identity of the root, not of the isolating interval
+        if self is other:
+            return True
         if not isinstance(other, NumberField):
             return NotImplemented
         if self.minpoly != other.minpoly:
@@ -181,20 +188,44 @@ def field_create(minpoly: Sequence[int], interval: tuple) -> NumberField:
     return NumberField(coeffs, (lo, hi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class NFElement:
-    """Element of Q(lambda) as rational coordinates in the power basis."""
+    """Element of Q(lambda): integer power-basis coordinates over one denominator.
+
+    The value is (num[0] + num[1] lambda + ... + num[d-1] lambda^(d-1)) / den.
+    The pair is kept in lowest terms with den > 0, so equal elements have
+    equal (num, den), and `==` and `hash` compare those.  `coeffs` reads the
+    same coordinates as Fractions.
+    """
 
     field: NumberField
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
         d = self.field.degree
-        if len(self.coeffs) != d:
+        if len(self.num) != d:
             raise ValueError(f"coordinate vector must have length {d}")
+        if self.den != 1:
+            if not self.den:
+                raise DivisionByZero("denominator must be nonzero")
+            g = gcd(self.den, *self.num)
+            if self.den < 0:
+                g = -g
+            if g != 1:
+                object.__setattr__(self, "num", tuple(c // g for c in self.num))
+                object.__setattr__(self, "den", self.den // g)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Rational coordinates in the power basis."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
+    def __repr__(self) -> str:
+        return f"NFElement(field={self.field!r}, coeffs={self.coeffs!r})"
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     # operator sugar; all arithmetic funnels through nf_arith
     def __add__(self, other):
@@ -222,35 +253,34 @@ class NFElement:
         return nf_arith("div", _coerce(self.field, other), self)
 
     def __neg__(self):
-        return NFElement(self.field, tuple(-c for c in self.coeffs))
+        return NFElement(self.field, tuple(-c for c in self.num), self.den)
 
     def to_float(self, bits: int = 60) -> float:
         x = self.field.root_float(bits)
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
-        return acc
+        for c in reversed(self.num):
+            acc = acc * x + c
+        return acc / self.den
 
 
 def nf_const(field: NumberField, value) -> NFElement:
     """Embed a rational constant."""
     v = Fraction(value)
-    return NFElement(field, (v,) + (Fraction(0),) * (field.degree - 1))
+    return NFElement(field, (v.numerator,) + (0,) * (field.degree - 1), v.denominator)
 
 
 def nf_element(field: NumberField, coeffs: Sequence) -> NFElement:
-    """Element from a raw coordinate sequence (entries coerced to Fraction)."""
-    return NFElement(field, tuple(Fraction(c) for c in coeffs))
+    """Element from a raw coordinate sequence (entries read as Fractions)."""
+    vec = [Fraction(c) for c in coeffs]
+    den = lcm(*(c.denominator for c in vec))
+    return NFElement(field, tuple(c.numerator * (den // c.denominator) for c in vec), den)
 
 
 def nf_gen(field: NumberField) -> NFElement:
     """The generator lambda itself (equals the constant root when degree is 1)."""
     if field.degree == 1:
         return nf_const(field, Fraction(-field.minpoly[0], field.minpoly[1]))
-    return NFElement(
-        field,
-        (Fraction(0), Fraction(1)) + (Fraction(0),) * (field.degree - 2),
-    )
+    return NFElement(field, (0, 1) + (0,) * (field.degree - 2))
 
 
 def _coerce(field: NumberField, value) -> NFElement:
@@ -261,74 +291,91 @@ def _coerce(field: NumberField, value) -> NFElement:
     return nf_const(field, value)
 
 
-def _reduce(field: NumberField, raw: list[Fraction]) -> tuple[Fraction, ...]:
-    # kill degrees >= d using x^d = -(m_0 + ... + m_{d-1} x^{d-1})
-    d = field.degree
-    m = field.minpoly
+def _reduce(m: tuple[int, ...], raw: list[int]) -> tuple[int, ...]:
+    # kill degrees >= d using x^d = -(m_0 + ... + m_{d-1} x^{d-1}); m is monic
+    d = len(m) - 1
     for k in range(len(raw) - 1, d - 1, -1):
         c = raw[k]
-        if c == 0:
-            continue
-        raw[k] = Fraction(0)
-        for i in range(d):
-            raw[k - d + i] -= c * m[i]
-    return tuple(raw[:d]) if len(raw) >= d else tuple(raw) + (Fraction(0),) * (d - len(raw))
+        if c:
+            for i in range(d):
+                raw[k - d + i] -= c * m[i]
+    return tuple(raw[:d]) if len(raw) >= d else tuple(raw) + (0,) * (d - len(raw))
 
 
 def nf_arith(op: str, a: NFElement, b: NFElement) -> NFElement:
     """Exact field arithmetic; results are reduced to canonical coordinates."""
-    if a.field != b.field:
-        raise ValueError("elements belong to different fields")
     f = a.field
-    d = f.degree
-    if op == "add":
-        return NFElement(f, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-    if op == "sub":
-        return NFElement(f, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+    if b.field is not f and b.field != f:
+        raise ValueError("elements belong to different fields")
+    if op == "add" or op == "sub":
+        x, y, den = a.num, b.num, a.den
+        if b.den != den:
+            x, y, den = [c * b.den for c in x], [c * den for c in y], den * b.den
+        if op == "add":
+            return NFElement(f, tuple(p + q for p, q in zip(x, y)), den)
+        return NFElement(f, tuple(p - q for p, q in zip(x, y)), den)
     if op == "mul":
-        raw = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y == 0:
-                    continue
-                raw[i + j] += x * y
-        return NFElement(f, _reduce(f, raw))
+        raw = [0] * (2 * f.degree - 1)
+        for i, x in enumerate(a.num):
+            if x:
+                for j, y in enumerate(b.num):
+                    raw[i + j] += x * y
+        return NFElement(f, _reduce(f.minpoly, raw), a.den * b.den)
     if op == "div":
         return nf_arith("mul", a, _invert(b))
     raise ValueError(f"unknown operation {op!r}")
 
 
+def _mul_matrix(f: NumberField, num: Sequence[int]) -> list[list[int]]:
+    """Matrix of multiplication by `num` on the power basis; column j is num lambda^j."""
+    col = list(num)
+    cols = [col]
+    for _ in range(f.degree - 1):
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [c - top * mi for c, mi in zip(col, f.minpoly)]
+        cols.append(col)
+    return [list(row) for row in zip(*cols)]
+
+
+def _det_int(a: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) determinant; consumes its argument."""
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for i in range(n - 1):
+        if a[i][i] == 0:
+            for t in range(i + 1, n):
+                if a[t][i]:
+                    a[i], a[t] = a[t], a[i]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for j in range(i + 1, n):
+            for t in range(i + 1, n):
+                a[j][t] = (a[j][t] * a[i][i] - a[j][i] * a[i][t]) // prev
+        prev = a[i][i]
+    return sign * a[n - 1][n - 1]
+
+
 def _invert(b: NFElement) -> NFElement:
     if b.is_zero():
         raise DivisionByZero("division by zero element")
-    f = b.field
-    # extended Euclid on (minpoly, b), keeping b's cofactor only; gcd 1 by irreducibility
-    r0 = tuple(Fraction(c) for c in f.minpoly)
-    r1 = _trim(tuple(b.coeffs))
-    s0: tuple[Fraction, ...] = ()
-    s1: tuple[Fraction, ...] = (Fraction(1),)
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    # r0 = gcd (a nonzero constant); s0 * b = r0 (mod minpoly), deg s0 < degree
-    return NFElement(f, _reduce(f, [c / r0[0] for c in s0]))
-
-
-def _poly_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(tuple(out))
-
-
-def _poly_sub(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    return _trim(tuple(x - y for x, y in zip_longest(a, b, fillvalue=Fraction(0))))
+    # 1/b = v with M v = den e_0, M multiplication by num.  Cramer's rule:
+    # column i replaced by den e_0 has determinant den (-1)^i minor(0, i).
+    M = _mul_matrix(b.field, b.num)
+    det = _det_int([row[:] for row in M])
+    if det == 0:  # only when the minimal polynomial is reducible
+        raise DivisionByZero("element is a zero divisor")
+    cofactors = (
+        (-1) ** i * _det_int([row[:i] + row[i + 1 :] for row in M[1:]])
+        for i in range(len(M))
+    )
+    return NFElement(b.field, tuple(b.den * c for c in cofactors), det)
 
 
 def _poly_divmod(a, b):
@@ -366,29 +413,50 @@ def _tighten(f: NumberField, decide: Callable, start: tuple[Fraction, Fraction])
             object.__setattr__(f, "_tight", (lo, hi))
 
 
+def _interval_horner(p: Sequence[int], lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """Horner enclosure of an integer polynomial over [lo, hi], in integers.
+
+    With the endpoints written as a/q and b/q, each step H <- x H + c q^k
+    keeps H equal to q^k times the rational accumulator, so p([lo, hi])
+    lies in [vlo / s, vhi / s] for the returned (vlo, vhi, s), s > 0.
+    """
+    q = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (q // lo.denominator)
+    b = hi.numerator * (q // hi.denominator)
+    hlo = hhi = p[-1] if p else 0
+    s = 1
+    for c in reversed(p[:-1]):
+        s *= q
+        if hlo == hhi:  # a point times [a, b]: two products bound it
+            prods = (hlo * a, hlo * b)
+        else:
+            prods = (hlo * a, hlo * b, hhi * a, hhi * b)
+        hlo, hhi = min(prods) + c * s, max(prods) + c * s
+    return hlo, hhi, s
+
+
 def nf_sign(a: NFElement) -> int:
     """Sign of the real number a(lambda): -1, 0, or +1, decided exactly.
 
-    The element's polynomial p is evaluated by interval Horner over the
-    field's cached isolating interval; an enclosure that excludes 0 gives
-    the sign.  If it straddles 0, p's Sturm chain is built once, and the
-    interval is halved until either the enclosure excludes 0 or the chain
-    shows that p has no root in it (then p's sign at an endpoint is the
-    answer).  The enclosure of a linear p is exact, so in degree 2 the
-    chain is never built.
+    The sign is that of num(lambda), as den > 0.  num is evaluated by
+    integer interval Horner over the field's cached isolating interval; an
+    enclosure that excludes 0 gives the sign.  If it straddles 0, num's
+    Sturm chain is built once, and the interval is halved until either the
+    enclosure excludes 0 or the chain shows that num has no root in it
+    (then its sign at an endpoint is the answer).  The enclosure of a
+    linear num is exact, so in degree 2 the chain is never built.
     """
     if a.is_zero():
         return 0
     f = a.field
     if f.degree == 1:
-        v = _poly_eval(a.coeffs, Fraction(-f.minpoly[0], f.minpoly[1]))
-        return 0 if v == 0 else (1 if v > 0 else -1)
-    p = _trim(tuple(a.coeffs))
+        return 1 if a.num[0] > 0 else -1
+    p = _trim(a.num)
     chain = None
 
     def decide(lo: Fraction, hi: Fraction) -> int | None:
         nonlocal chain
-        vlo, vhi = _interval_eval(p, lo, hi)
+        vlo, vhi, _ = _interval_horner(p, lo, hi)
         if vlo > 0:
             return 1
         if vhi < 0:
@@ -396,7 +464,7 @@ def nf_sign(a: NFElement) -> int:
         if len(p) <= 2:
             return None
         if chain is None:
-            chain = _sturm_chain(p)
+            chain = _sturm_chain(tuple(Fraction(c) for c in p))
         plo, phi = _poly_eval(p, lo), _poly_eval(p, hi)
         if plo != 0 and phi != 0 and _sign_changes(chain, lo) == _sign_changes(chain, hi):
             return 1 if plo > 0 else -1
@@ -499,21 +567,6 @@ def _root_greater(p1, iv1, p2, iv2) -> bool:
     return a1 > b2
 
 
-def _interval_eval(
-    coeffs: Sequence[Fraction], lo: Fraction, hi: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Horner evaluation of a polynomial over the interval [lo, hi]."""
-    cs = tuple(coeffs)
-    alo = ahi = cs[-1] if cs else Fraction(0)
-    for c in reversed(cs[:-1]):
-        if alo == ahi:  # a point times [lo, hi]: two products bound it
-            prods = (alo * lo, alo * hi)
-        else:
-            prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(prods) + c, max(prods) + c
-    return alo, ahi
-
-
 def nf_minpoly(x: NFElement) -> tuple[tuple[Fraction, ...], tuple[Fraction, Fraction]]:
     """Monic minimal polynomial of x over Q plus an isolating interval.
 
@@ -523,12 +576,7 @@ def nf_minpoly(x: NFElement) -> tuple[tuple[Fraction, ...], tuple[Fraction, Frac
     import sympy
 
     f = x.field
-    d = f.degree
-    cols = []
-    for j in range(d):
-        unit = NFElement(f, tuple(Fraction(int(i == j)) for i in range(d)))
-        cols.append((x * unit).coeffs)
-    M = sympy.Matrix([[sympy.Rational(cols[j][i]) for j in range(d)] for i in range(d)])
+    M = sympy.Matrix([[sympy.Rational(c, x.den) for c in row] for row in _mul_matrix(f, x.num)])
     t = sympy.Symbol("_t")
     poly = sympy.Poly(M.charpoly(t).as_expr(), t, domain="QQ")
     fac = sympy.factor_list(poly)[1][0][0]
@@ -538,10 +586,11 @@ def nf_minpoly(x: NFElement) -> tuple[tuple[Fraction, ...], tuple[Fraction, Frac
     if len(mono) == 2:  # x is rational
         q = -mono[0]
         return mono, (q - Fraction(1, 2), q + Fraction(1, 2))
-    p = _trim(tuple(x.coeffs))
+    p = _trim(x.num)
 
     def isolates(lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction] | None:
-        ylo, yhi = _interval_eval(p, lo, hi)
+        vlo, vhi, s = _interval_horner(p, lo, hi)
+        ylo, yhi = Fraction(vlo, s * x.den), Fraction(vhi, s * x.den)
         if (
             ylo < yhi
             and _poly_eval(mono, ylo) != 0

@@ -409,14 +409,12 @@ def maximal_split(
         elif s == 0:
             best.append(b)
     best.sort()
-    cur_t, cur_m = t, m
-    elem: Optional[CarryingMatrix] = None
-    events = []
-    for b in best:
+    cur_t, cur_m, elem, ev = _split(t, m, best[0])
+    events = [ev]
+    for b in best[1:]:
         cur_t, cur_m, e, ev = _split(cur_t, cur_m, b)
-        elem = e if elem is None else incidence_compose(elem, e)
+        elem = incidence_compose(elem, e)
         events.append(ev)
-    assert elem is not None
     return cur_t, cur_m, elem, tuple(events)
 
 
@@ -445,21 +443,23 @@ class AgolCycle:
         return self.period_measures[0]
 
 
-def _norm_vectors(t: TrainTrack, m: Measure):
-    """Projectivized measure per minimal canonical labeling, plus the word."""
-    word, labs = canonical_form(t)
-    vecs = []
-    for lab in labs:
-        order = sorted(lab.branch_map, key=lambda b: lab.branch_map[b][0])
-        v = [m.weight(b) for b in order]
-        inv0 = nf_const(m.field, 1) / v[0]
-        vecs.append(tuple(x * inv0 for x in v))
-    return word, vecs
-
-
 def _state_key(t: TrainTrack, m: Measure):
-    word, vecs = _norm_vectors(t, m)
-    key_vec = min(tuple(x.coeffs for x in v) for v in vecs)
+    """Canonical word plus the least projectivized measure over its labelings.
+
+    The measure is scaled once, by 1/(sum of weights): the sum does not
+    depend on the labeling, so projectively isomorphic states get equal
+    keys.  `_match_states` stays the exact test."""
+    word, labs = canonical_form(t)
+    weights = [w for _, w in m.weights]
+    scale = 1 / sum(weights[1:], weights[0])
+    scaled = {b: w * scale for b, w in m.weights}
+    key_vec = min(
+        tuple(
+            (scaled[b].num, scaled[b].den)
+            for b in sorted(lab.branch_map, key=lambda b: lab.branch_map[b][0])
+        )
+        for lab in labs
+    )
     return (word, key_vec)
 
 

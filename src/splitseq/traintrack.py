@@ -728,8 +728,7 @@ def parse_track(text: str) -> tuple[TrainTrack, Optional[Measure]]:
         missing = set(branches) - set(raw_measure)
         if missing:
             raise ParseError(f"measure missing branches: {sorted(missing)}")
-        assert fld is not None
-        measure = Measure.of(fld, raw_measure)
+        measure = Measure.of(fld, raw_measure)  # a measure line needs the field first
     return track, measure
 
 
@@ -814,8 +813,15 @@ def _emit(t: TrainTrack, start: BranchEnd):
     return tuple(word), Labeling(branch_map, switch_map)
 
 
-def canonical_form(t: TrainTrack):
-    """Lexicographically minimal BFS word over all starting flags, with labelings."""
+def canonical_form(t: TrainTrack) -> tuple[tuple, tuple[Labeling, ...]]:
+    """Lexicographically minimal BFS word over all starting flags, with labelings.
+
+    Computed once per track and cached on it, outside its fields."""
+    cached = getattr(t, "_canon", None)
+    if cached is not None:
+        return cached
+    if not t.branches:
+        raise ValueError("track has no branches")
     best_word = None
     labelings: list[Labeling] = []
     for b in t.branches:
@@ -825,8 +831,9 @@ def canonical_form(t: TrainTrack):
                 best_word, labelings = word, [lab]
             elif word == best_word:
                 labelings.append(lab)
-    assert best_word is not None
-    return best_word, labelings
+    cached = (best_word, tuple(labelings))
+    object.__setattr__(t, "_canon", cached)
+    return cached
 
 
 @dataclass(frozen=True)

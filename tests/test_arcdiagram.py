@@ -27,6 +27,7 @@ from splitseq.arcdiagram import (
     NotALoop,
     SpecialMark,
     _det_int,
+    _move_frame,
     apply_split_slides,
     arc_diagram_from_track,
     arcslide,
@@ -460,3 +461,16 @@ def test_serialize_sequence_format():
         body = ln.strip("()").split(", ")
         assert len(body) == 4 and body[3] in ("+", "-")
         int(body[0]), int(body[1]), int(body[2])
+
+
+def test_move_frame_off_its_route_raises_a_typed_error():
+    # the back foot y crosses p into interval C, then r into interval B,
+    # where it heads B, not its target C: the route is lost.  The check must
+    # not be an assert, because under python -O this loop never ended.
+    d = ArcDiagram(
+        (("x", "p", "y"), ("q",), ("r", "s")),
+        (("x", "y"), ("p", "s"), ("q", "r")),
+        ("A", "B", "C"),
+    )
+    with pytest.raises(MalformedDiagram, match="back foot ran off its route"):
+        _move_frame(d, "A", "C")

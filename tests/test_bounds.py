@@ -316,3 +316,15 @@ def test_push_curve_bounds_hold(coords):
     v2, len_bound, int_bound = push_curve(M, NormalCurve(tuple(coords)))
     assert len_bound == sum(v2)
     assert int_bound == sum(x * y for x, y in zip(coords, v2))
+
+
+def test_c_of_psi_computes_cusp_transport_once(monkeypatch):
+    cyc = torus_cycle()
+    expected = c_of_psi(cyc)
+    (ext,) = diagonal_extensions(cyc.start_track)
+    monkeypatch.setattr(bounds, "diagonal_extensions", lambda t: [ext, ext, ext])
+    calls = []
+    real = bounds._iterate_cusp_data
+    monkeypatch.setattr(bounds, "_iterate_cusp_data", lambda c, k: calls.append(k) or real(c, k))
+    assert c_of_psi(cyc) == expected == 51
+    assert calls == [3]

@@ -6,6 +6,7 @@ algebraic-number arithmetic as a cross-check oracle.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -410,3 +411,89 @@ def test_largest_root_interval_isolates_the_largest_root(roots):
     assert sturm_count(pf, lo, hi) == 1
     assert lo < max(roots) < hi
     assert all(not lo <= r <= hi for r in roots if r != max(roots))
+
+
+# --- integer coordinates over one denominator
+
+# Q(2^(1/d)), d = 1..5 (x^d - 2 is Eisenstein at 2), and the three real
+# embeddings of the cubic fixture
+REPRESENTATION_FIELDS = [
+    field_create([-2] + [0] * (d - 1) + [1], (1, 2)) for d in range(1, 6)
+] + [field_create(CUBIC, iv) for iv in CUBIC_INTERVALS]
+
+
+def _in_lowest_terms(e):
+    return (
+        len(e.num) == e.field.degree
+        and all(type(c) is int for c in e.num)
+        and type(e.den) is int
+        and e.den > 0
+        and gcd(e.den, *e.num) == 1
+    )
+
+
+def _reference_mul(field, x, y):
+    """Fraction convolution, then reduction by the monic minimal polynomial."""
+    d = field.degree
+    raw = [F(0)] * (2 * d - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            raw[i + j] += a * b
+    for k in range(len(raw) - 1, d - 1, -1):
+        for i in range(d):
+            raw[k - d + i] -= raw[k] * field.minpoly[i]
+    return tuple(raw[:d])
+
+
+def _reference_enclosure(coeffs, lo, hi):
+    """Fraction interval Horner with all four endpoint products."""
+    alo = ahi = F(0)
+    for c in reversed(coeffs):
+        prods = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(prods) + c, max(prods) + c
+    return alo, ahi
+
+
+coordinate_lists = st.lists(small_fracs, min_size=5, max_size=5)
+
+
+@given(st.sampled_from(REPRESENTATION_FIELDS), coordinate_lists, coordinate_lists)
+@settings(max_examples=200, deadline=None)
+def test_arithmetic_matches_fraction_reference(field, xs, ys):
+    d = field.degree
+    a, b = nf_element(field, xs[:d]), nf_element(field, ys[:d])
+    assert a.coeffs == tuple(xs[:d]) and b.coeffs == tuple(ys[:d])
+    results = [a, b, -a, a + b, a - b, a * b]
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(xs, ys[:d]))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(xs, ys[:d]))
+    assert (a * b).coeffs == _reference_mul(field, xs[:d], ys[:d])
+    if not b.is_zero():
+        q = a / b
+        results.append(q)
+        assert _reference_mul(field, q.coeffs, b.coeffs) == a.coeffs
+    for e in results:
+        assert _in_lowest_terms(e)
+        again = nf_element(field, e.coeffs)
+        assert again == e and hash(again) == hash(e)
+
+
+def test_constructor_brings_coordinates_to_lowest_terms():
+    f = REPRESENTATION_FIELDS[1]  # Q(sqrt 2)
+    e = numberfield.NFElement(f, (2, -4), -6)
+    assert (e.num, e.den) == ((-1, 2), 3)
+    assert e == nf_element(f, (F(-1, 3), F(2, 3)))
+    assert repr(e) == f"NFElement(field={f!r}, coeffs=(Fraction(-1, 3), Fraction(2, 3)))"
+    with pytest.raises(DivisionByZero):
+        numberfield.NFElement(f, (1, 0), 0)
+
+
+@given(st.sampled_from(REPRESENTATION_FIELDS), coordinate_lists, st.integers(0, 30))
+@settings(max_examples=150, deadline=None)
+def test_integer_interval_horner_matches_fraction_enclosure(field, xs, steps):
+    a = nf_element(field, xs[: field.degree])
+    lo, hi = field.refine(steps).root_interval
+    vlo, vhi, s = numberfield._interval_horner(a.num, lo, hi)
+    assert s > 0
+    ref_lo, ref_hi = _reference_enclosure(a.coeffs, lo, hi)
+    assert (F(vlo, s * a.den), F(vhi, s * a.den)) == (ref_lo, ref_hi)
+    assert ((vlo > 0) - (vhi < 0)) == ((ref_lo > 0) - (ref_hi < 0))

@@ -18,6 +18,7 @@ from splitseq.splitting import (
     NotShiftable,
     SplitCase,
     SplitEvent,
+    _state_key,
     cycle_report,
     find_agol_cycle,
     fold,
@@ -37,9 +38,17 @@ from splitseq.traintrack import (
     derived_genus,
     parse_track,
     regions,
+    track_isomorphisms,
     validate,
 )
-from trackgen import RATIONALS, build_track, positive_measure, random_measure, random_track
+from trackgen import (
+    RATIONALS,
+    build_track,
+    positive_measure,
+    random_measure,
+    random_track,
+    rename_track,
+)
 
 
 def torus():
@@ -404,3 +413,21 @@ def test_moves_preserve_structure_on_random_pairs():
             back, back2, _ = shift_measure(t2, m2, b)
             assert back == t and back2 == m
     assert done == 1000
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_state_key_is_projective_and_labeling_free(seed):
+    t, m = torus()
+    lam = nf_element(m.field, [F(0), F(1)])
+    t2 = rename_track(t, seed)
+    for iso in track_isomorphisms(t, t2):
+        image = Measure.of(
+            m.field, {iso.branch_image(b)[0]: lam * m.weight(b) for b in t.branches}
+        )
+        assert check_measure(t2, image)
+        assert _state_key(t2, image) == _state_key(t, m)
+    # c = a + b holds, but b / a = lambda is not m's ratio lambda - 2
+    other = Measure.of(m.field, {"a": nf_const(m.field, 1), "b": lam, "c": 1 + lam})
+    assert check_measure(t, other)
+    assert _state_key(t, other) != _state_key(t, m)
+    assert _state_key(t, other)[0] == _state_key(t, m)[0]

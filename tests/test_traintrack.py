@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_text
+from splitseq import traintrack
 from splitseq.numberfield import field_create, nf_const, nf_element, pf_eigendata
 from splitseq.traintrack import (
     BranchEnd,
@@ -343,3 +344,20 @@ def test_rational_switch_solutions_check_exactly(seed):
             bumped[b] = bumped[b] + nf_const(fld, 1)
             assert not switch_condition_holds(t, Measure.of(fld, bumped))
             break
+
+
+def test_canonical_form_is_computed_once_per_track(monkeypatch):
+    t, _ = torus()
+    emitted = []
+    real = traintrack._emit
+    monkeypatch.setattr(traintrack, "_emit", lambda tr, e: emitted.append(e) or real(tr, e))
+    first = canonical_form(t)
+    assert len(emitted) == 2 * t.l
+    assert canonical_form(t) is first and len(emitted) == 2 * t.l
+    assert track_isomorphisms(t, t) and len(emitted) == 2 * t.l
+    assert canonical_form(parse_track(TORUS)[0]) == first  # equal track, fresh cache
+
+
+def test_canonical_form_of_empty_track_raises():
+    with pytest.raises(ValueError):
+        canonical_form(TrainTrack((), (), 0))

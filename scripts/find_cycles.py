@@ -8,34 +8,28 @@ product is primitive, its dominant eigenvector is a measure candidate, which
 the exact detector then confirms or rejects.
 
 Usage: python3 scripts/find_cycles.py SEED.track [--max-classes N]
-       [--max-len L] [--limit K] [--out DIR]
+       [--max-len L] [--limit K] [--budget W] [--out DIR]
 """
 
 import argparse
 import sys
-from itertools import product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from splitseq.numberfield import NotPerronFrobenius, _is_primitive, pf_eigendata
+from splitseq.numberfield import NotPerronFrobenius, pf_eigendata
 from splitseq.splitting import (
     CarryingMatrix,
     NoCycleWithinBudget,
     SplitCase,
-    _elem_with_row,
-    _replace_switches,
-    _transport_marks,
     cycle_report,
     find_agol_cycle,
     incidence_compose,
     is_large_branch,
-    track_id,
+    split_surgery,
 )
 from splitseq.traintrack import (
-    BranchEnd,
     Measure,
-    Switch,
     TrainTrack,
     canonical_form,
     parse_track,
@@ -43,40 +37,6 @@ from splitseq.traintrack import (
     track_isomorphisms,
     validate,
 )
-
-
-def structural_split(t: TrainTrack, branch: str, case: SplitCase):
-    """The combinatorial surgery of a left or right split, no measure needed."""
-    e0, e1 = BranchEnd(branch, 0), BranchEnd(branch, 1)
-    u, v = t.switch_of(e0), t.switch_of(e1)
-    P, Q = u.small_left, u.small_right
-    R, T = v.small_left, v.small_right
-    if case is SplitCase.LEFT:
-        u2 = Switch.trivalent(u.name, P, e0, T)
-        v2 = Switch.trivalent(v.name, R, e1, Q)
-        row_ends = [e0, T, Q]
-    else:
-        u2 = Switch.trivalent(u.name, Q, R, e0)
-        v2 = Switch.trivalent(v.name, T, P, e1)
-        row_ends = [e0, P, R]
-    switches = _replace_switches(t, {u.name, v.name}, [u2, v2])
-    marks = _transport_marks(t, t.branches, switches, {branch})
-    t2 = TrainTrack(t.branches, tuple(switches), t.genus, marks)
-    elem = _elem_with_row(t, t.branches, branch, row_ends, track_id(t), track_id(t2))
-    return t2, elem
-
-
-def _perm_matrix(t_from: TrainTrack, t_to: TrainTrack, iso) -> CarryingMatrix:
-    return CarryingMatrix(
-        t_from.branches,
-        t_to.branches,
-        tuple(
-            tuple(int(iso.branch_image(b)[0] == c) for c in t_to.branches)
-            for b in t_from.branches
-        ),
-        track_id(t_from),
-        track_id(t_to),
-    )
 
 
 def class_graph(seed: TrainTrack, max_classes: int):
@@ -98,7 +58,7 @@ def class_graph(seed: TrainTrack, max_classes: int):
             if not is_large_branch(t, b):
                 continue
             for case in (SplitCase.LEFT, SplitCase.RIGHT):
-                t2, elem = structural_split(t, b, case)
+                t2, elem = split_surgery(t, b, case)
                 w2, _ = canonical_form(t2)
                 if w2 not in reps:
                     if len(reps) >= max_classes:
@@ -110,7 +70,7 @@ def class_graph(seed: TrainTrack, max_classes: int):
                     edges[w].append((f"{b}:{case.value}", w2, elem))
                 else:
                     for iso in track_isomorphisms(t2, reps[w2]):
-                        mat = incidence_compose(elem, _perm_matrix(t2, reps[w2], iso))
+                        mat = incidence_compose(elem, CarryingMatrix.of_iso(t2, reps[w2], iso))
                         edges[w].append((f"{b}:{case.value}", w2, mat))
     return reps, order, edges
 
@@ -220,11 +180,8 @@ def verified_cycles(seed: TrainTrack, max_classes: int, max_len: int, budget: in
             mat = path[0][1]
             for _, m in path[1:]:
                 mat = incidence_compose(mat, m)
-            ent = [list(r) for r in mat.entries]
-            if not _is_primitive(ent, cap=len(ent) * len(ent)):
-                continue
             try:
-                field, vec = pf_eigendata(ent)
+                field, vec = pf_eigendata(mat.entries)
             except NotPerronFrobenius:
                 continue
             m0 = Measure.of(field, {b: vec[i] for i, b in enumerate(t0.branches)})

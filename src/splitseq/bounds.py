@@ -10,6 +10,7 @@ respect to the dual triangulation of the cycle's track.
 from dataclasses import dataclass
 from typing import Optional
 
+from .numberfield import _mat_mul
 from .splitting import AgolCycle, CarryingMatrix, SplitCase, incidence_compose, split_case
 from .traintrack import (
     BranchEnd,
@@ -89,14 +90,13 @@ def r_of_psi(M) -> int:
     return max(sum(row[j] for row in ent) for j in range(len(ent)))
 
 
-def _mat_mul(a, b):
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
-
-
 def power_positive_K(M) -> int:
     """Least K with M^K (and then every higher power) entrywise positive."""
-    ent = _square_entries(M)
+    return _positive_power(_square_entries(M))[0]
+
+
+def _positive_power(ent):
+    # (K, M^K) for the least K with M^K entrywise positive
     n = len(ent)
     cap = (n - 1) ** 2 + 1
     p = ent
@@ -105,7 +105,7 @@ def power_positive_K(M) -> int:
             nxt = _mat_mul(p, ent)
             if not all(x > 0 for row in nxt for x in row):
                 raise NotPrimitive("a positive power is followed by a non-positive one")
-            return k
+            return k, p
         p = _mat_mul(p, ent)
     raise NotPrimitive(f"no positive power up to the dimension bound {cap}")
 
@@ -221,11 +221,8 @@ def _diag_names(ext: DiagonalExtension) -> list[tuple[str, int, tuple[int, int]]
 
 def _cycle_transport(cycle: AgolCycle):
     """What every extension of a cycle shares: K-fold cusp data and M^K."""
-    K = power_positive_K(cycle.cycle_matrix)
+    K, mk = _positive_power(_square_entries(cycle.cycle_matrix))
     sigma, gamma = _iterate_cusp_data(cycle, K)
-    mk = cycle.cycle_matrix.entries
-    for _ in range(K - 1):
-        mk = _mat_mul(mk, cycle.cycle_matrix.entries)
     return sigma, gamma, mk
 
 

@@ -255,13 +255,6 @@ class NFElement:
     def __neg__(self):
         return NFElement(self.field, tuple(-c for c in self.num), self.den)
 
-    def to_float(self, bits: int = 60) -> float:
-        x = self.field.root_float(bits)
-        acc = 0.0
-        for c in reversed(self.num):
-            acc = acc * x + c
-        return acc / self.den
-
 
 def nf_const(field: NumberField, value) -> NFElement:
     """Embed a rational constant."""
@@ -337,6 +330,12 @@ def _mul_matrix(f: NumberField, num: Sequence[int]) -> list[list[int]]:
             col = [c - top * mi for c, mi in zip(col, f.minpoly)]
         cols.append(col)
     return [list(row) for row in zip(*cols)]
+
+
+def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Integer matrix product a * b, as a tuple of row tuples."""
+    bt = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
 def _det_int(a: list[list[int]]) -> int:

@@ -1,9 +1,10 @@
-"""Splitting, shifting, and folding moves, with exact carried-measure bookkeeping.
+"""Splitting and folding moves, with exact carried-measure bookkeeping.
 
 A large branch (both ends in large position) splits three ways depending on
 the exact comparison of the two diagonal weights; the resulting track is
 carried by the old one and the elementary incidence matrix transports the
 new measure back: m_pre = elem * m_post, coordinatewise in Q(lambda).
+`split_surgery` is the surgery alone, for a case chosen without a measure.
 
 Iterating maximal splits on a positive measure and hashing canonical forms
 detects the eventual periodicity (preperiod n, period m, a ribbon
@@ -17,10 +18,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .numberfield import NFElement, nf_const, nf_minpoly, nf_sign
+from .numberfield import NFElement, _mat_mul, nf_const, nf_minpoly, nf_sign
 from .traintrack import (
     BranchEnd,
-    CuspRef,
     FieldMismatch,
     Measure,
     Switch,
@@ -40,10 +40,6 @@ class NotLargeBranch(ValueError):
 
 class InvalidMeasure(ValueError):
     """Measure fails switch conditions, nonnegativity, or positivity."""
-
-
-class NotShiftable(ValueError):
-    """Branch is not a mixed branch between two distinct trivalent switches."""
 
 
 class NotFoldable(ValueError):
@@ -103,6 +99,15 @@ class CarryingMatrix:
         ent = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         return CarryingMatrix(branches, branches, ent, track, track)
 
+    @staticmethod
+    def of_iso(t_from: TrainTrack, t_to: TrainTrack, iso: TrackIso) -> "CarryingMatrix":
+        """Permutation matrix of an isomorphism t_from -> t_to: m_from = P * m_to."""
+        ent = tuple(
+            tuple(int(iso.branch_image(b)[0] == c) for c in t_to.branches)
+            for b in t_from.branches
+        )
+        return CarryingMatrix(t_from.branches, t_to.branches, ent, track_id(t_from), track_id(t_to))
+
     def entry(self, row: str, col: str) -> int:
         return self.entries[self.rows.index(row)][self.cols.index(col)]
 
@@ -131,11 +136,7 @@ def incidence_compose(a: CarryingMatrix, b: CarryingMatrix) -> CarryingMatrix:
         raise ChainMismatch("column labels of the first factor must equal row labels of the second")
     if a.source and b.target and a.source != b.target:
         raise ChainMismatch(f"chain breaks: {a.source} != {b.target}")
-    bt = list(zip(*b.entries))
-    ent = tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.entries
-    )
-    return CarryingMatrix(a.rows, b.cols, ent, a.target, b.source)
+    return CarryingMatrix(a.rows, b.cols, _mat_mul(a.entries, b.entries), a.target, b.source)
 
 
 def track_id(t: TrainTrack) -> str:
@@ -267,88 +268,46 @@ def split(
 def _split(
     t: TrainTrack, m: Measure, branch: str
 ) -> tuple[TrainTrack, Measure, CarryingMatrix, SplitEvent]:
-    # the split itself, on a large branch and a measure already checked
+    # the measure update, on a large branch and a measure already checked
+    u, v = t.switch_of(BranchEnd(branch, 0)), t.switch_of(BranchEnd(branch, 1))
+    diff = m.weight(u.small_left.branch) - m.weight(v.small_right.branch)
+    side = nf_sign(diff)
+    event = SplitEvent(branch, _CASE[side])
+    t2, elem = split_surgery(t, branch, event.case)
+    weights = m.as_dict()
+    if side == 0:
+        del weights[branch]
+    else:
+        weights[branch] = diff if side > 0 else -diff
+    return t2, Measure.of(m.field, weights), elem, event
+
+
+def split_surgery(t: TrainTrack, branch: str, case: SplitCase) -> tuple[TrainTrack, CarryingMatrix]:
+    """The surgery of a split of a large branch in the given case; no measure.
+
+    Left and right splits rewire the two end switches and keep every branch;
+    a central split deletes the branch and merges its two switches."""
+    if not is_large_branch(t, branch):
+        raise NotLargeBranch(f"branch {branch!r} is not a large branch")
     e0, e1 = BranchEnd(branch, 0), BranchEnd(branch, 1)
     u, v = t.switch_of(e0), t.switch_of(e1)
     P, Q = u.small_left, u.small_right
     R, T = v.small_left, v.small_right
-    a, c = m.weight(P.branch), m.weight(T.branch)
-    side = nf_sign(a - c)
-    event = SplitEvent(branch, _CASE[side])
-
-    weights = m.as_dict()
-    if side == 0:
-        merged = Switch(u.name, ((v.small_right, v.small_left), (u.small_right, u.small_left)))
-        branches = tuple(b for b in t.branches if b != branch)
-        switches = _replace_switches(t, {u.name, v.name}, [merged])
-        del weights[branch]
-        marks = _transport_marks(t, branches, switches, {branch})
-        t2 = TrainTrack(branches, tuple(switches), t.genus, marks)
-        m2 = Measure.of(m.field, weights)
-        elem = _elem_with_row(t, branches, branch, [R, T], track_id(t), track_id(t2))
-        return t2, m2, elem, event
-
-    if side > 0:
-        u2 = Switch.trivalent(u.name, P, e0, T)
-        v2 = Switch.trivalent(v.name, R, e1, Q)
-        weights[branch] = a - c
+    branches = t.branches
+    if case is SplitCase.CENTRAL:
+        branches = tuple(b for b in branches if b != branch)
+        new = [Switch(u.name, ((T, R), (Q, P)))]
+        row_ends = [R, T]
+    elif case is SplitCase.LEFT:
+        new = [Switch.trivalent(u.name, P, e0, T), Switch.trivalent(v.name, R, e1, Q)]
         row_ends = [e0, T, Q]
     else:
-        u2 = Switch.trivalent(u.name, Q, R, e0)
-        v2 = Switch.trivalent(v.name, T, P, e1)
-        weights[branch] = c - a
+        new = [Switch.trivalent(u.name, Q, R, e0), Switch.trivalent(v.name, T, P, e1)]
         row_ends = [e0, P, R]
-    switches = _replace_switches(t, {u.name, v.name}, [u2, v2])
-    branches = t.branches
+    switches = _replace_switches(t, {u.name, v.name}, new)
     marks = _transport_marks(t, branches, switches, {branch})
     t2 = TrainTrack(branches, tuple(switches), t.genus, marks)
-    m2 = Measure.of(m.field, weights)
-    elem = _elem_with_row(t, branches, branch, row_ends, track_id(t), track_id(t2))
-    return t2, m2, elem, event
-
-
-def shift(t: TrainTrack, branch: str) -> tuple[TrainTrack, CarryingMatrix]:
-    """Slide the switch at the large end of a mixed branch past the other one."""
-    if branch not in t.branches:
-        raise NotShiftable(f"unknown branch {branch!r}")
-    ends = [BranchEnd(branch, 0), BranchEnd(branch, 1)]
-    sws = [t.switch_of(e) for e in ends]
-    if sws[0].name == sws[1].name or not all(sw.is_generic for sw in sws):
-        raise NotShiftable("shift needs a branch between two distinct trivalent switches")
-    larges = [_is_large_end(sw, e) for sw, e in zip(sws, ends)]
-    if larges.count(True) != 1:
-        raise NotShiftable("shift needs exactly one large half-branch")
-    k = larges.index(True)
-    eL, eS = ends[k], ends[1 - k]
-    u, v = sws[k], sws[1 - k]
-    P, Q = u.small_left, u.small_right
-    Lstar = v.large
-    if eS == v.small_left:
-        W = v.small_right
-        n1 = Switch.trivalent(u.name, eL, Q, W)
-        n2 = Switch.trivalent(v.name, Lstar, P, eS)
-    else:
-        W = v.small_left
-        n1 = Switch.trivalent(u.name, eL, W, P)
-        n2 = Switch.trivalent(v.name, Lstar, eS, Q)
-    switches = _replace_switches(t, {u.name, v.name}, [n1, n2])
-    marks = _transport_marks(t, t.branches, switches, {branch})
-    t2 = TrainTrack(t.branches, tuple(switches), t.genus, marks)
-    elem = _elem_with_row(t, t.branches, branch, [P, Q], track_id(t), track_id(t2))
-    return t2, elem
-
-
-def shift_measure(t: TrainTrack, m: Measure, branch: str) -> tuple[TrainTrack, Measure, CarryingMatrix]:
-    """Shift plus the measure transport (inner-branch weight is resummed)."""
-    if not check_measure(t, m):
-        raise InvalidMeasure("measure must satisfy switch conditions and be nonnegative")
-    t2, elem = shift(t, branch)
-    inner = t2.switch_of(BranchEnd(branch, 0))
-    if not _is_large_end(inner, BranchEnd(branch, 0)):
-        inner = t2.switch_of(BranchEnd(branch, 1))
-    weights = m.as_dict()
-    weights[branch] = m.weight(inner.small_left.branch) + m.weight(inner.small_right.branch)
-    return t2, Measure.of(m.field, weights), elem
+    return t2, _elem_with_row(t, branches, branch, row_ends, track_id(t), track_id(t2))
 
 
 def fold(t2: TrainTrack, m2: Measure, event: SplitEvent) -> tuple[TrainTrack, Measure]:
@@ -390,14 +349,20 @@ def fold(t2: TrainTrack, m2: Measure, event: SplitEvent) -> tuple[TrainTrack, Me
 def maximal_split(
     t: TrainTrack, m: Measure
 ) -> tuple[TrainTrack, Measure, CarryingMatrix, tuple[SplitEvent, ...]]:
-    """Split every large branch whose weight equals the exact maximum.
-
-    The measure is checked once: splitting a tied branch keeps it valid and
-    the other tied branches large, as two large branches share no switch."""
+    """Split every large branch whose weight equals the exact maximum."""
     if not check_measure(t, m):
         raise InvalidMeasure("measure must satisfy switch conditions and be nonnegative")
     if any(nf_sign(w) != 1 for _, w in m.weights):
         raise InvalidMeasure("maximal splitting needs a strictly positive measure")
+    return _maximal_split(t, m)
+
+
+def _maximal_split(
+    t: TrainTrack, m: Measure
+) -> tuple[TrainTrack, Measure, CarryingMatrix, tuple[SplitEvent, ...]]:
+    # on a measure already checked: a split keeps the measure valid and
+    # strictly positive, and the other tied branches large, as two large
+    # branches share no switch
     cands = large_branches(t)
     if not cands:
         raise NoLargeBranch("track has no large branch")
@@ -500,7 +465,7 @@ def find_agol_cycle(t: TrainTrack, m: Measure, max_iters: int) -> AgolCycle:
 
     for step in range(max_iters):
         try:
-            t2, m2, elem, events = maximal_split(tracks[-1], measures[-1])
+            t2, m2, elem, events = _maximal_split(tracks[-1], measures[-1])
         except NoLargeBranch as exc:
             raise NoCycleWithinBudget(f"splitting stalled after {step} steps: {exc}") from None
         tracks.append(t2)
@@ -517,17 +482,7 @@ def find_agol_cycle(t: TrainTrack, m: Measure, max_iters: int) -> AgolCycle:
             period = elems[j]
             for k in range(j + 1, i):
                 period = incidence_compose(period, elems[k])
-            perm = CarryingMatrix(
-                t2.branches,
-                tracks[j].branches,
-                tuple(
-                    tuple(int(iso.branch_image(b)[0] == c) for c in tracks[j].branches)
-                    for b in t2.branches
-                ),
-                track_id(t2),
-                track_id(tracks[j]),
-            )
-            cycle = incidence_compose(period, perm)
+            cycle = incidence_compose(period, CarryingMatrix.of_iso(t2, tracks[j], iso))
             return AgolCycle(
                 n=j,
                 m=i - j,

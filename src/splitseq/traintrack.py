@@ -6,9 +6,9 @@ counterclockwise order in which a small circle around the switch meets them.
 The full counterclockwise cyclic order at the switch is side_a followed by
 side_b.  For a generic (trivalent) switch one side holds the large end and
 the other holds (small_right, small_left); the cusp is the corner between
-the two small ends.  Everything else - complementary regions, genus, the
-dual triangulation, diagonal extensions - is derived from this data by face
-tracing, never stored redundantly.
+the two small ends.  Everything else - complementary regions, genus,
+diagonal extensions - is derived from this data by face tracing, never
+stored redundantly.
 
 Measures assign elements of a number field Q(lambda) to branches; switch
 conditions and positivity are decided exactly.
@@ -521,39 +521,7 @@ def validate(t: TrainTrack, m: Optional[Measure] = None) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# dual triangulation and diagonal extensions
-
-
-@dataclass(frozen=True)
-class DualTriangulation:
-    vertices: tuple[int, ...]  # region indices
-    edges: tuple[tuple[str, int, int], ...]  # (branch, region index, region index)
-    triangles: tuple[tuple[str, tuple[str, str, str]], ...]  # (switch, its branch triple)
-
-    @property
-    def euler(self) -> int:
-        return len(self.vertices) - len(self.edges) + len(self.triangles)
-
-
-def dual_triangulation(t: TrainTrack) -> DualTriangulation:
-    if not t.is_generic:
-        raise NotGeneric("dual triangulation needs a trivalent track")
-    regs = regions(t)
-    ok, _ = _region_conditions(regs)
-    if not ok:
-        raise NotFilling("complementary regions violate the disk/cusp conditions")
-    side_of: dict[BranchEnd, int] = {}
-    for i, r in enumerate(regs):
-        for h in r.boundary:
-            side_of[h] = i
-    edges = tuple(
-        (b, side_of[BranchEnd(b, 0)], side_of[BranchEnd(b, 1)]) for b in t.branches
-    )
-    triangles = tuple(
-        (sw.name, tuple(sorted({e.branch for e in sw.ccw()})))  # type: ignore[arg-type]
-        for sw in t.switches
-    )
-    return DualTriangulation(tuple(range(len(regs))), edges, triangles)
+# diagonal extensions
 
 
 def _polygon_triangulations(k: int) -> list[frozenset[tuple[int, int]]]:

@@ -1,4 +1,4 @@
-"""Split, shift, fold moves; carrying matrices; periodic cycle detection."""
+"""Split and fold moves; carrying matrices; periodic cycle detection."""
 
 import random
 from fractions import Fraction as F
@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import fixture_text
+from splitseq import splitting
 from splitseq.numberfield import _is_primitive, nf_const, nf_element, nf_minpoly, nf_sign
 from splitseq.splitting import (
     CarryingMatrix,
@@ -15,7 +16,6 @@ from splitseq.splitting import (
     NoLargeBranch,
     NotFoldable,
     NotLargeBranch,
-    NotShiftable,
     SplitCase,
     SplitEvent,
     _state_key,
@@ -25,9 +25,8 @@ from splitseq.splitting import (
     incidence_compose,
     large_branches,
     maximal_split,
-    shift,
-    shift_measure,
     split,
+    split_surgery,
     track_id,
 )
 from splitseq.traintrack import (
@@ -44,7 +43,6 @@ from splitseq.traintrack import (
 from trackgen import (
     RATIONALS,
     build_track,
-    positive_measure,
     random_measure,
     random_track,
     rename_track,
@@ -53,10 +51,6 @@ from trackgen import (
 
 def torus():
     return parse_track(fixture_text("torus_anosov.track"))
-
-
-def hexa():
-    return parse_track(fixture_text("genus2_hex.track"))[0]
 
 
 def rational_measure(t, values: dict[str, int]) -> Measure:
@@ -143,6 +137,8 @@ def test_split_rejects_non_large():
         split(t, m, "a")
     with pytest.raises(NotLargeBranch):
         split(t, m, "nope")
+    with pytest.raises(NotLargeBranch):
+        split_surgery(t, "a", SplitCase.LEFT)
 
 
 def test_split_rejects_invalid_measure():
@@ -151,57 +147,6 @@ def test_split_rejects_invalid_measure():
     bad["a"] = bad["a"] + nf_const(m.field, 1)
     with pytest.raises(InvalidMeasure):
         split(t, Measure.of(m.field, bad), "c")
-
-
-# ---------------------------------------------------------------------------
-# shifts
-
-
-def _mixed_branches(t):
-    out = []
-    for b in t.branches:
-        ends = [BranchEnd(b, 0), BranchEnd(b, 1)]
-        sws = [t.switch_of(e) for e in ends]
-        if sws[0].name == sws[1].name:
-            continue
-        larges = [sw.large == e for sw, e in zip(sws, ends)]
-        if larges.count(True) == 1:
-            out.append(b)
-    return out
-
-
-def test_shift_preserves_regions_and_reverses():
-    t = hexa()
-    mixed = _mixed_branches(t)
-    assert mixed
-    before = sorted(r.cusp_count for r in regions(t))
-    for b in mixed:
-        t2, elem = shift(t, b)
-        assert sorted(r.cusp_count for r in regions(t2)) == before
-        assert t2.genus == t.genus
-        back, _ = shift(t2, b)
-        assert back == t
-        # the shifted branch is re-expressed through its old corners
-        col = elem.cols.index(b)
-        assert all(row[col] == 0 for row in elem.entries)
-
-
-def test_shift_measure_transport():
-    t, _ = parse_track(fixture_text("genus2_44.track"))
-    m = positive_measure(t)
-    assert m is not None
-    for b in _mixed_branches(t):
-        t2, m2, elem = shift_measure(t, m, b)
-        assert check_measure(t2, m2)
-        assert elem.apply(m2) == m
-
-
-def test_shift_rejects_large_and_small():
-    t, m = torus()
-    with pytest.raises(NotShiftable):
-        shift(t, "c")  # large branch
-    with pytest.raises(NotShiftable):
-        shift(t, "a")  # both half-branches small
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +312,16 @@ def test_cycle_needs_positive_measure():
         find_agol_cycle(t, zero, 5)
 
 
+def test_cycle_search_checks_its_measure_once(monkeypatch):
+    # every later measure comes out of a split, which keeps it valid
+    t, m = torus()
+    calls = []
+    real = splitting.check_measure
+    monkeypatch.setattr(splitting, "check_measure", lambda t, m: calls.append(t) or real(t, m))
+    find_agol_cycle(t, m, 10)
+    assert len(calls) == 1
+
+
 def test_detector_is_deterministic():
     t, m = torus()
     c1 = find_agol_cycle(t, m, 10)
@@ -401,17 +356,10 @@ def test_moves_preserve_structure_on_random_pairs():
             assert derived_genus(t2) == derived_genus(t)
             assert len(regions(t2)) == kappa
             assert all(s >= 1 for s in elem.column_sums())
+            assert split_surgery(t, b, ev.case) == (t2, elem)
             if ev.case is not SplitCase.CENTRAL:
                 tb, mb = fold(t2, m2, ev)
                 assert tb == t and mb == m
-        mixed = _mixed_branches(t)
-        if mixed:
-            b = mixed[0]
-            t2, m2, elem = shift_measure(t, m, b)
-            assert check_measure(t2, m2)
-            assert elem.apply(m2) == m
-            back, back2, _ = shift_measure(t2, m2, b)
-            assert back == t and back2 == m
     assert done == 1000
 
 

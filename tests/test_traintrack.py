@@ -1,4 +1,4 @@
-"""Parsing, face tracing, validation, duals, diagonal extensions."""
+"""Parsing, face tracing, validation, diagonal extensions."""
 
 from fractions import Fraction as F
 
@@ -24,7 +24,6 @@ from splitseq.traintrack import (
     catalan,
     check_measure,
     diagonal_extensions,
-    dual_triangulation,
     parse_track,
     regions,
     serialize_track,
@@ -122,7 +121,7 @@ def test_theta_without_puncture_is_not_filling():
     assert not rep.filling
     assert rep.euler_ok and rep.recurrent and rep.generic
     with pytest.raises(NotFilling):
-        dual_triangulation(t)
+        diagonal_extensions(t)
 
 
 def test_nonrecurrent_track():
@@ -155,30 +154,6 @@ def test_genus2_fixture(name, profile, n_ext):
     for ext in exts:
         for i, chords in ext.diagonals:
             assert len(chords) == max(0, regs[i].cusp_count - 3)
-
-
-def test_dual_triangulation_torus():
-    t, _ = torus()
-    dt = dual_triangulation(t)
-    assert (len(dt.vertices), len(dt.edges), len(dt.triangles)) == (1, 3, 2)
-    assert dt.euler == 0
-    for _, tri in dt.triangles:
-        assert tri == ("a", "b", "c")
-
-
-@pytest.mark.parametrize(
-    "name,counts",
-    [
-        ("genus2_hex.track", (1, 9, 6)),
-        ("genus2_44.track", (2, 12, 8)),
-        ("genus2_trigons.track", (4, 18, 12)),
-    ],
-)
-def test_dual_triangulation_genus2(name, counts):
-    t, _ = parse_track(fixture_text(name))
-    dt = dual_triangulation(t)
-    assert (len(dt.vertices), len(dt.edges), len(dt.triangles)) == counts
-    assert dt.euler == -2
 
 
 def _crossing(c1, c2):

@@ -10,7 +10,6 @@ from splitseq.traintrack import (
     Switch,
     TrainTrack,
     _connected,
-    feasible_point,
     regions,
     switch_coefficients,
 )
@@ -74,18 +73,6 @@ def random_measure(t: TrainTrack, rng: random.Random, positive=False, attempts=4
         return None
     return Measure.of(
         RATIONALS, {b: nf_element(RATIONALS, [v[j]]) for j, b in enumerate(t.branches)}
-    )
-
-
-def positive_measure(t: TrainTrack, extra_rows=()) -> Measure | None:
-    """Exact all->=1 rational measure, or None when only 0 works."""
-    rows = switch_matrix(t) + [list(r) for r in extra_rows]
-    x = feasible_point(rows, t.l)
-    if x is None:
-        return None
-    return Measure.of(
-        RATIONALS,
-        {b: nf_element(RATIONALS, [x[j]]) for j, b in enumerate(t.branches)},
     )
 
 

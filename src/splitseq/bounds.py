@@ -5,6 +5,12 @@ the per-step stretch r, the positivity exponent K, carrying bounds c and c'
 for tracks extended by diagonals, the iterated growth value M_psi, and the
 final disk-generator bound.  Curves are handled in normal coordinates with
 respect to the dual triangulation of the cycle's track.
+
+c is a maximum over every maximal diagonal extension of the track, but no
+extension is built: an image-diagonal row of an extension's carrying matrix
+sums to 1 and never wins, and a branch's row sum splits into M^K's row plus
+one term per region, which an interval dynamic program over that region's
+cusp-polygon triangulations maximises on its own.
 """
 
 from dataclasses import dataclass
@@ -12,14 +18,7 @@ from typing import Optional
 
 from .numberfield import _mat_mul
 from .splitting import AgolCycle, CarryingMatrix, SplitCase, incidence_compose, split_case
-from .traintrack import (
-    BranchEnd,
-    DiagonalExtension,
-    Region,
-    TrainTrack,
-    diagonal_extensions,
-    regions,
-)
+from .traintrack import BranchEnd, NotFilling, TrainTrack, _region_conditions, regions
 
 
 class NotPrimitive(ValueError):
@@ -27,7 +26,7 @@ class NotPrimitive(ValueError):
 
 
 class NotAnExtension(ValueError):
-    """The diagonal data does not describe a maximal extension of the track."""
+    """The cusp transport does not carry diagonal extensions to extensions."""
 
 
 class IncompatibleCoordinates(ValueError):
@@ -193,117 +192,72 @@ def _iterate_cusp_data(cycle: AgolCycle, k: int):
     return sigma, gamma
 
 
-def _check_extension(t: TrainTrack, regs: tuple[Region, ...], ext: DiagonalExtension):
-    chords_by_region = dict(ext.diagonals)
-    if set(chords_by_region) != set(range(len(regs))):
-        raise NotAnExtension("extension must list every region exactly once")
-    for i, r in enumerate(regs):
-        k = r.cusp_count
-        chords = chords_by_region[i]
-        if len(chords) != max(0, k - 3):
-            raise NotAnExtension(f"region {i} is not fully subdivided")
-        for a, b in chords:
-            if not (0 <= a < b < k) or b - a == 1 or (a == 0 and b == k - 1):
-                raise NotAnExtension(f"chord {(a, b)} in region {i} is not a diagonal")
-        for a, b in chords:
-            for c, d in chords:
-                if a < c < b < d:
-                    raise NotAnExtension(f"chords cross in region {i}")
-
-
-def _diag_names(ext: DiagonalExtension) -> list[tuple[str, int, tuple[int, int]]]:
-    out = []
-    for i, chords in ext.diagonals:
-        for a, b in sorted(chords):
-            out.append((f"d{i}_{a}_{b}", i, (a, b)))
-    return out
-
-
 def _cycle_transport(cycle: AgolCycle):
-    """What every extension of a cycle shares: K-fold cusp data and M^K."""
+    """K, M^K and the K-fold cusp data, with K searched for once."""
     K, mk = _positive_power(_square_entries(cycle.cycle_matrix))
     sigma, gamma = _iterate_cusp_data(cycle, K)
-    return sigma, gamma, mk
+    return K, mk, sigma, gamma
 
 
-def extension_incidence(
-    cycle: AgolCycle, ext: DiagonalExtension
-) -> tuple[DiagonalExtension, CarryingMatrix]:
-    """Carrying data once the cycle's track is filled in with diagonals.
+def _best_triangulation(w) -> int:
+    """Largest sum of w[a] + w[c] over the diagonals (a, c) of one
+    triangulation of a convex polygon whose vertices, in order, weigh w."""
+    k = len(w)
+    if k < 4:
+        return 0
+    # f[i][j]: best for the sub-polygon i..j cut off by the chord (i, j),
+    # that chord itself not counted
+    f = [[0] * k for _ in range(k)]
+    for span in range(2, k):
+        for i in range(k - span):
+            j = i + span
+            f[i][j] = max(
+                f[i][m] + f[m][j]
+                + (w[i] + w[m] if m - i > 1 else 0)
+                + (w[m] + w[j] if j - m > 1 else 0)
+                for m in range(i + 1, j)
+            )
+    return f[0][k - 1]
 
-    The k-fold map (k chosen so the plain transition matrix is positive)
-    sends each added diagonal to a path: its two endpoint cusps travel along
-    recorded train paths, and the middle runs over the image diagonal.  The
-    returned matrix has the plain branches' k-fold transition matrix as its
-    upper-left block, one extra row per image diagonal and one extra column
-    per original diagonal.
-    """
-    regs = regions(cycle.start_track)
-    _check_extension(cycle.start_track, regs, ext)
-    return _extension_incidence(cycle.start_track, regs, ext, *_cycle_transport(cycle))
 
-
-def _extension_incidence(t0: TrainTrack, regs, ext: DiagonalExtension, sigma, gamma, mk):
-    # locate each region by its cusp set and map chords through sigma
-    cusp_region = {}
-    cusp_pos = {}
-    for i, r in enumerate(regs):
-        for p, cusp in enumerate(r.cusps):
-            cusp_region[cusp.switch] = i
-            cusp_pos[cusp.switch] = p
-
-    mapped = {i: set() for i in range(len(regs))}
-    col_diags = _diag_names(ext)
-    images = {}
-    for name, i, (a, b) in col_diags:
-        cusps = regs[i].cusps
-        sa, sb = sigma[cusps[a].switch], sigma[cusps[b].switch]
-        i2 = cusp_region[sa]
-        if cusp_region[sb] != i2:
-            raise NotAnExtension("cusp transport split a region apart")
-        pa, pb = sorted((cusp_pos[sa], cusp_pos[sb]))
-        mapped[i2].add((pa, pb))
-        images[name] = (i2, (pa, pb))
-
-    ext2 = DiagonalExtension(
-        tuple((i, frozenset(mapped[i])) for i in range(len(regs)))
+def _c_from_transport(t0: TrainTrack, mk, sigma, gamma) -> int:
+    """c(psi) from M^K and the K-fold cusp data; see c_of_psi."""
+    regs = regions(t0)
+    if not _region_conditions(regs)[0]:
+        raise NotFilling("c(psi) needs a filling track")
+    cusps = [tuple(c.switch for c in r.cusps) for r in regs]
+    # sigma must carry each region's cusps onto one region's, in cyclic
+    # order, or the image of a triangulation is not a triangulation
+    where = {s: (i, p) for i, cs in enumerate(cusps) for p, s in enumerate(cs)}
+    for i, cs in enumerate(cusps):
+        i2, q = where[sigma[cs[0]]]
+        image = cusps[i2]
+        if len(image) != len(cs) or any(
+            sigma[s] != image[(q + p) % len(cs)] for p, s in enumerate(cs)
+        ):
+            raise NotAnExtension(f"cusp transport split region {i} apart")
+    best = max(
+        sum(mk[b]) + sum(_best_triangulation([gamma[s][b] for s in cs]) for cs in cusps)
+        for b in range(t0.l)
     )
-    _check_extension(t0, regs, ext2)
-    row_diags = _diag_names(ext2)
-    row_names = {(i, ch): nm for nm, i, ch in row_diags}
-
-    rows = t0.branches + tuple(nm for nm, _, _ in row_diags)
-    cols = t0.branches + tuple(nm for nm, _, _ in col_diags)
-    ent = []
-    for bi, b in enumerate(t0.branches):
-        row = list(mk[bi])
-        for name, i, (a, b2) in col_diags:
-            cusps = regs[i].cusps
-            row.append(gamma[cusps[a].switch][bi] + gamma[cusps[b2].switch][bi])
-        ent.append(tuple(row))
-    for nm, _, _ in row_diags:
-        row = [0] * t0.l
-        for cname, _, _ in col_diags:
-            row.append(int(row_names[images[cname]] == nm))
-        ent.append(tuple(row))
-    N = CarryingMatrix(rows, cols, tuple(ent))
-    return ext2, N
+    return 2 * best + 1
 
 
 def c_of_psi(cycle: AgolCycle) -> int:
     """Worst doubled row sum over every maximal diagonal extension, plus one.
 
-    The cusp transport and M^K are computed once and shared by all
-    extensions."""
-    t0 = cycle.start_track
-    regs = regions(t0)
-    shared = _cycle_transport(cycle)
-    best = 0
-    for ext in diagonal_extensions(t0):
-        _check_extension(t0, regs, ext)
-        _, N = _extension_incidence(t0, regs, ext, *shared)
-        best = max(best, max(sum(row) for row in N.entries))
-    return 2 * best + 1
+    In an extension's carrying matrix, the row of branch b sums to
+    sum_j M^K[b][j] plus w[a] + w[c] for each added diagonal (a, c), where
+    w[p] counts how often the K-fold path of cusp p runs over b.  An
+    image-diagonal row sums to 1, below any row of the positive M^K, so it
+    never wins.  Regions are triangulated independently, so
+
+        c = 2 * max_b (sum_j M^K[b][j] + sum_regions best_r(b)) + 1
+
+    with best_r(b) the best triangulation of region r's cusp polygon,
+    found by an interval dynamic program instead of listing extensions.
+    """
+    return _c_from_transport(cycle.start_track, *_cycle_transport(cycle)[1:])
 
 
 def _diagonal_lengths(t: TrainTrack) -> list[int]:
@@ -396,8 +350,8 @@ def dd_bound(g: int, s: int, m_psi: int) -> int:
 def bound_report(cycle: AgolCycle) -> BoundReport:
     t0 = cycle.start_track
     r = r_of_psi(cycle.cycle_matrix)
-    K = power_positive_K(cycle.cycle_matrix)
-    c = c_of_psi(cycle)
+    K, *transport = _cycle_transport(cycle)
+    c = _c_from_transport(t0, *transport)
     cp = c_prime(t0)
     g = t0.genus
     s = t0.s  # one diagram boundary circle (and tube-cutting piece) per switch

@@ -6,9 +6,8 @@ counterclockwise order in which a small circle around the switch meets them.
 The full counterclockwise cyclic order at the switch is side_a followed by
 side_b.  For a generic (trivalent) switch one side holds the large end and
 the other holds (small_right, small_left); the cusp is the corner between
-the two small ends.  Everything else - complementary regions, genus,
-diagonal extensions - is derived from this data by face tracing, never
-stored redundantly.
+the two small ends.  Everything else - complementary regions, genus -
+is derived from this data by face tracing, never stored redundantly.
 
 Measures assign elements of a number field Q(lambda) to branches; switch
 conditions and positivity are decided exactly.
@@ -518,80 +517,6 @@ def validate(t: TrainTrack, m: Optional[Measure] = None) -> ValidationReport:
         kappa=kappa,
         problems=tuple(problems),
     )
-
-
-# ---------------------------------------------------------------------------
-# diagonal extensions
-
-
-def _polygon_triangulations(k: int) -> list[frozenset[tuple[int, int]]]:
-    """All triangulations of a convex k-gon as chord sets on vertices 0..k-1."""
-    if k < 3:
-        return [frozenset()]
-
-    def rec(vs: tuple[int, ...]) -> list[frozenset[tuple[int, int]]]:
-        if len(vs) < 3:
-            return [frozenset()]
-        if len(vs) == 3:
-            return [frozenset()]
-        out = []
-        a, b = vs[0], vs[-1]  # the edge (a, b) closes the polygon
-        for i in range(1, len(vs) - 1):
-            c = vs[i]
-            left = rec(vs[: i + 1])
-            right = rec(vs[i:])
-            chords = set()
-            if i > 1:
-                chords.add(tuple(sorted((a, c))))
-            if i < len(vs) - 2:
-                chords.add(tuple(sorted((c, b))))
-            for lf in left:
-                for rt in right:
-                    out.append(frozenset(chords) | lf | rt)
-        return out
-
-    return rec(tuple(range(k)))
-
-
-@dataclass(frozen=True)
-class DiagonalExtension:
-    """A maximal disjoint diagonal choice: per region, chords between cusps.
-
-    Chords are pairs of cusp indices in the region's cyclic cusp order.
-    """
-
-    diagonals: tuple[tuple[int, frozenset[tuple[int, int]]], ...]  # (region idx, chords)
-
-    @property
-    def diagonal_count(self) -> int:
-        return sum(len(ch) for _, ch in self.diagonals)
-
-
-def diagonal_extensions(t: TrainTrack) -> list[DiagonalExtension]:
-    regs = regions(t)
-    ok, _ = _region_conditions(regs)
-    if not ok:
-        raise NotFilling("diagonal extensions need a filling track")
-    per_region: list[list[tuple[int, frozenset[tuple[int, int]]]]] = []
-    for i, r in enumerate(regs):
-        tris = _polygon_triangulations(r.cusp_count)
-        per_region.append([(i, chords) for chords in tris])
-    out = [DiagonalExtension(())]
-    for options in per_region:
-        out = [
-            DiagonalExtension(prev.diagonals + (opt,))
-            for prev in out
-            for opt in options
-        ]
-    return out
-
-
-def catalan(n: int) -> int:
-    if n <= 1:
-        return 1
-    import math
-
-    return math.comb(2 * n, n) // (n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,9 @@ from splitseq.bounds import (
     NotAnExtension,
     NotPrimitive,
     ReplayMismatch,
+    _best_triangulation,
+    _c_from_transport,
+    _cycle_transport,
     _iterate_cusp_data,
     _period_cusp_data,
     bound_report,
@@ -31,7 +34,6 @@ from splitseq.bounds import (
     c_prime,
     curve_length,
     dd_bound,
-    extension_incidence,
     m_of_psi,
     power_positive_K,
     push_curve,
@@ -50,13 +52,13 @@ from splitseq.splitting import (
     split_case,
     track_id,
 )
-from splitseq.traintrack import (
-    BranchEnd,
-    DiagonalExtension,
-    Measure,
-    diagonal_extensions,
-    parse_track,
-    regions,
+from splitseq.traintrack import BranchEnd, Measure, parse_track
+from extension_oracle import (
+    brute_force_c,
+    extension_rows,
+    extensions,
+    polygon_triangulations,
+    region_cusps,
 )
 from trackgen import RATIONALS
 
@@ -133,13 +135,14 @@ def test_torus_cusp_transport_three_fold():
 
 
 def test_torus_extension_is_bare_cube():
+    # the torus's one region has 2 cusps, so its only extension adds no
+    # diagonal and carries by M^3 alone
     cyc = torus_cycle()
-    exts = diagonal_extensions(cyc.start_track)
-    assert len(exts) == 1 and exts[0].diagonal_count == 0
-    ext2, N = extension_incidence(cyc, exts[0])
-    assert ext2 == exts[0]
-    assert N.rows == N.cols == cyc.start_track.branches
-    assert N.entries == TORUS_M3
+    K, mk, sigma, gamma = _cycle_transport(cyc)
+    assert (K, mk) == (3, TORUS_M3)
+    (ext,) = extensions(cyc.start_track)
+    assert ext == (frozenset(),)
+    assert extension_rows(cyc.start_track, ext, mk, sigma, gamma) == [list(r) for r in TORUS_M3]
 
 
 def test_torus_c_and_c_prime():
@@ -164,11 +167,66 @@ def test_torus_bound_report():
 
 
 def test_extension_rejects_malformed():
-    cyc = torus_cycle()
-    with pytest.raises(NotAnExtension):
-        extension_incidence(cyc, DiagonalExtension(()))
-    with pytest.raises(NotAnExtension):
-        extension_incidence(cyc, DiagonalExtension(((0, frozenset({(0, 1)})),)))
+    # a cusp transport that splits a region's cusps over two regions, or
+    # keeps them in one region out of cyclic order, carries no extension
+    # to an extension
+    t, _ = parse_track((FIXTURES / "genus2_44.track").read_text())
+    r0, r1 = region_cusps(t)
+    mk = tuple((1,) * t.l for _ in t.branches)
+    gamma = {s: (0,) * t.l for s in r0 + r1}
+    ident = {s: s for s in r0 + r1}
+    rotated = dict(ident, **{s: r0[(p + 1) % 4] for p, s in enumerate(r0)})
+    exchanged = {**dict(zip(r0, r1)), **dict(zip(r1, r0))}
+    for sigma in (ident, rotated, exchanged):
+        assert _c_from_transport(t, mk, sigma, gamma) == 2 * t.l + 1
+    split_apart = dict(ident, **{r0[0]: r1[0], r1[0]: r0[0]})
+    reordered = dict(ident, **{r0[0]: r0[1], r0[1]: r0[0]})
+    for sigma in (split_apart, reordered):
+        with pytest.raises(NotAnExtension):
+            _c_from_transport(t, mk, sigma, gamma)
+
+
+# --- c by dynamic programming, against the listed extensions ---
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(0, 50), max_size=9))
+def test_best_triangulation_matches_enumeration(w):
+    best = max(sum(w[a] + w[c] for a, c in tri) for tri in polygon_triangulations(len(w)))
+    assert _best_triangulation(w) == best
+
+
+GENUS2_FIXTURES = [
+    "genus2_hex.track",
+    "genus2_44.track",
+    "genus2_35.track",
+    "genus2_trigons.track",
+    "genus2_tie.track",
+]
+
+
+def random_transport(t, rng):
+    """A cusp transport that keeps each region's cyclic order, with random
+    cusp paths and a positive stand-in for M^K."""
+    cusps = region_cusps(t)
+    sigma = {}
+    for k in {len(cs) for cs in cusps}:
+        group = [cs for cs in cusps if len(cs) == k]
+        for cs, image in zip(group, rng.sample(group, len(group))):
+            q = rng.randrange(k)
+            sigma.update({s: image[(q + p) % k] for p, s in enumerate(cs)})
+    gamma = {s: tuple(rng.randint(0, 9) for _ in t.branches) for s in sigma}
+    mk = tuple(tuple(rng.randint(1, 9) for _ in t.branches) for _ in t.branches)
+    return mk, sigma, gamma
+
+
+@pytest.mark.parametrize("name", GENUS2_FIXTURES)
+@settings(max_examples=15, deadline=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_c_matches_every_extension_on_genus2_fixtures(name, rng):
+    t, _ = parse_track((FIXTURES / name).read_text())
+    mk, sigma, gamma = random_transport(t, rng)
+    assert _c_from_transport(t, mk, sigma, gamma) == brute_force_c(t, mk, sigma, gamma)
 
 
 # --- curves ---
@@ -319,12 +377,12 @@ def test_push_curve_bounds_hold(coords):
 
 
 def test_c_of_psi_computes_cusp_transport_once(monkeypatch):
-    cyc = torus_cycle()
-    expected = c_of_psi(cyc)
-    (ext,) = diagonal_extensions(cyc.start_track)
-    monkeypatch.setattr(bounds, "diagonal_extensions", lambda t: [ext, ext, ext])
+    # one bound_report searches for K once and transports the cusps once
     calls = []
-    real = bounds._iterate_cusp_data
-    monkeypatch.setattr(bounds, "_iterate_cusp_data", lambda c, k: calls.append(k) or real(c, k))
-    assert c_of_psi(cyc) == expected == 51
-    assert calls == [3]
+    for name in ("_positive_power", "_iterate_cusp_data"):
+        real = getattr(bounds, name)
+        monkeypatch.setattr(
+            bounds, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    assert bound_report(torus_cycle()).c == 51
+    assert sorted(calls) == ["_iterate_cusp_data", "_positive_power"]

@@ -1,5 +1,6 @@
-"""Parsing, face tracing, validation, diagonal extensions."""
+"""Parsing, face tracing, validation."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -7,8 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_text
+from extension_oracle import catalan, extensions, polygon_triangulations
 from splitseq import traintrack
+from splitseq.bounds import c_of_psi
 from splitseq.numberfield import field_create, nf_const, nf_element, pf_eigendata
+from splitseq.splitting import find_agol_cycle
 from splitseq.traintrack import (
     BranchEnd,
     DanglingBranchEnd,
@@ -19,11 +23,8 @@ from splitseq.traintrack import (
     SlotReuse,
     Switch,
     TrainTrack,
-    _polygon_triangulations,
     canonical_form,
-    catalan,
     check_measure,
-    diagonal_extensions,
     parse_track,
     regions,
     serialize_track,
@@ -120,8 +121,10 @@ def test_theta_without_puncture_is_not_filling():
     rep = validate(t)
     assert not rep.filling
     assert rep.euler_ok and rep.recurrent and rep.generic
+    # the torus fixture's measure, on the same track without its puncture
+    _, m = torus()
     with pytest.raises(NotFilling):
-        diagonal_extensions(t)
+        c_of_psi(find_agol_cycle(t, m, 50))
 
 
 def test_nonrecurrent_track():
@@ -149,11 +152,11 @@ def test_genus2_fixture(name, profile, n_ext):
     rep = validate(t)
     assert rep.filling and rep.euler_ok and rep.generic
     assert rep.genus == 2
-    exts = diagonal_extensions(t)
-    assert len(exts) == n_ext
+    exts = extensions(t)
+    assert len(exts) == n_ext == math.prod(catalan(k - 2) for k in profile)
     for ext in exts:
-        for i, chords in ext.diagonals:
-            assert len(chords) == max(0, regs[i].cusp_count - 3)
+        for r, chords in zip(regs, ext):
+            assert len(chords) == max(0, r.cusp_count - 3)
 
 
 def _crossing(c1, c2):
@@ -163,7 +166,7 @@ def _crossing(c1, c2):
 
 @pytest.mark.parametrize("k", range(3, 9))
 def test_polygon_triangulations(k):
-    tris = _polygon_triangulations(k)
+    tris = polygon_triangulations(k)
     assert len(tris) == catalan(k - 2)
     assert len(set(tris)) == len(tris)
     for chords in tris:

@@ -441,19 +441,6 @@ def _split_slides(pre: ArcDiagram, event: SplitEvent) -> tuple[tuple[Arcslide, A
     return slides, _recut(d, f"{event.branch}.1", front)
 
 
-def sigma_transport(event: SplitEvent, sigma: SpecialMark) -> SpecialMark:
-    """Starred switches after a left or right split.
-
-    Splits keep switch names, and the split's slide pair never moves a
-    frame handle, so the starred set carries over verbatim: the star at a
-    split switch now marks that switch's new cusp.  Stars away from the
-    split site are untouched a fortiori.
-    """
-    if event.case is SplitCase.CENTRAL:
-        raise CentralSplit("central splits do not transport stars")
-    return SpecialMark(sigma.switches)
-
-
 # ---------------------------------------------------------------------------
 # routing frame handles between cusps
 
@@ -802,6 +789,22 @@ def h1_action(
 # boundary adjustments and factorization
 
 
+def _route_frames(
+    d: ArcDiagram, t: TrainTrack, sigma1: SpecialMark, sigma2: SpecialMark
+) -> tuple[ArcDiagram, list[Arcslide]]:
+    """Walk the frame handle of every region whose star differs between the
+    marks, in region index order, from the special diagram of ``sigma1``
+    toward that of ``sigma2``."""
+    m1 = sigma1.region_map(t)
+    m2 = sigma2.region_map(t)
+    slides: list[Arcslide] = []
+    for r in sorted(m1):
+        if m1[r] != m2[r]:
+            d, moved = _move_frame(d, w_from=m2[r], w_to=m1[r])
+            slides.extend(moved)
+    return d, slides
+
+
 def boundary_adjustment(
     sigma1: SpecialMark, sigma2: SpecialMark, t: TrainTrack
 ) -> ArcslideSequence:
@@ -812,16 +815,8 @@ def boundary_adjustment(
     order, and their boundary components are disjoint, so the routes never
     interact.  Equal marks give the empty sequence.
     """
-    m1 = sigma1.region_map(t)
-    m2 = sigma2.region_map(t)
     start = special_arc_diagram(t, sigma1)
-    d = start
-    slides: list[Arcslide] = []
-    for r in sorted(m1):
-        if m1[r] == m2[r]:
-            continue
-        d, moved = _move_frame(d, w_from=m2[r], w_to=m1[r])
-        slides.extend(moved)
+    d, slides = _route_frames(start, t, sigma1, sigma2)
     target = special_arc_diagram(t, sigma2)
     if not same_pattern(d, target):
         raise NotALoop("adjustment did not reach the target diagram")
@@ -872,29 +867,23 @@ def factorize(cycle: AgolCycle, sigma: SpecialMark) -> ArcslideSequence:
     start = special_arc_diagram(t0, sigma)
     d = start
     slides: list[Arcslide] = []
-    cur = sigma
     for t, mu, group in zip(cycle.period_tracks, cycle.period_measures, cycle.events):
         for ev in group:
             if split_case(t, mu, ev.branch) is not ev.case:
                 raise NotALoop(f"recorded period does not split {ev.branch} {ev.case.value}")
             pair, d = _split_slides(d, ev)
             slides.extend(pair)
-            cur = sigma_transport(ev, cur)
     t = cycle.period_tracks[-1]
     ren = _iso_renames(cycle.iso, t)
     d = _relabel(d, cycle.iso, t0, t)
+    # splits keep switch names and stars, so only the isomorphism moves them
     sw_map = dict(cycle.iso.switches)
-    cur = SpecialMark(frozenset(sw_map[w] for w in cur.switches))
+    moved = SpecialMark(frozenset(sw_map[w] for w in sigma.switches))
     renames = ((len(slides), tuple(sorted(ren.items()))),)
-    if not same_pattern(d, special_arc_diagram(t0, cur)):
+    if not same_pattern(d, special_arc_diagram(t0, moved)):
         raise NotALoop("period did not land on the transported special diagram")
-    ma = cur.region_map(t0)
-    mb = sigma.region_map(t0)
-    for r in sorted(ma):
-        if ma[r] == mb[r]:
-            continue
-        d, moved = _move_frame(d, w_from=mb[r], w_to=ma[r])
-        slides.extend(moved)
+    d, tail = _route_frames(d, t0, moved, sigma)
+    slides.extend(tail)
     if not same_pattern(d, start):
         raise NotALoop("factorization did not close up")
     h1 = _sequence_matrix(start, slides, renames, d)

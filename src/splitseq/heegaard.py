@@ -26,16 +26,11 @@ Drawing conventions.  Every count below depends on these and nothing else:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 from .arcdiagram import SpecialMark
-from .bounds import (
-    BoundReport,
-    DimensionMismatch,
-    IncompatibleCoordinates,
-    NormalCurve,
-)
+from .bounds import BoundReport, BoundViolated, NormalCurve, curve_length
 from .traintrack import BranchEnd, TrainTrack, regions
 
 
@@ -57,12 +52,24 @@ class HallViolation(ValueError):
     """No injective assignment of boundary switches to graph regions."""
 
 
-# Per tube-cutting piece: extensions of the first kind, the cap on how often
-# one beta arc meets the cut circle, and the cap on crossings between the
-# distinguished beta arc of the piece and the alpha arcs.
+class NotMinimal(ValueError):
+    """The system is not of minimal length: a region point sits in a
+    one-wall face, a region keeps a single free corner, or a corner slide
+    would change the total length."""
+
+
+class SlidesDidNotConverge(ValueError):
+    """Corner slides kept finding two-cornered faces past the round cap."""
+
+
+class InconsistentDrawing(RuntimeError):
+    """The canonical drawing broke one of its own conventions."""
+
+
+# Per tube-cutting piece: extensions of the first kind, and the cap on how
+# often one beta arc meets the cut circle.
 FIRST_KIND_EXTENSIONS = 2
 BETA_ARC_PIECE_CAP = 2
-BETA_ONE_PIECE_CAP = 5
 
 Corner = tuple  # (switch name, corner index 0..2)
 Seg = tuple  # (branch name, gap index 0..n)
@@ -78,33 +85,14 @@ class _Tri:
     def __init__(self, sw) -> None:
         self.switch: str = sw.name
         self.word: tuple[BranchEnd, ...] = sw.ccw()
-        self.cusp = None
-        for i in range(3):
-            if (
-                self.word[i] == sw.small_right
-                and self.word[(i + 1) % 3] == sw.small_left
-            ):
-                self.cusp = i  # corner between the two small ends
-        if self.cusp is None:
-            raise AssertionError(f"switch {sw.name} has no small-small corner")
-
-
-def _check_compatibility(t: TrainTrack, tris: dict, coords: dict) -> None:
-    for w, tri in tris.items():
-        ns = [coords[e.branch] for e in tri.word]
-        if sum(ns) % 2:
-            raise IncompatibleCoordinates(
-                f"odd crossing total at switch {w}: {ns}"
-            )
-        for c in range(3):
-            if ns[c] + ns[(c + 1) % 3] - ns[(c + 2) % 3] < 0:
-                raise IncompatibleCoordinates(
-                    f"triangle inequality fails at switch {w}, corner {c}"
-                )
+        # corner between the two small ends, which are adjacent in the word
+        self.cusp = self.word.index(sw.small_right)
 
 
 class _Geom:
-    """Canonical realisation of a compatible coordinate vector."""
+    """Canonical realisation of a compatible coordinate vector.  Sums of
+    compatible vectors are compatible, so the union of a checked system
+    needs no check of its own."""
 
     def __init__(self, t: TrainTrack, n: dict) -> None:
         self.t = t
@@ -115,7 +103,6 @@ class _Geom:
             for h in reg.boundary:
                 self.side_of[h] = ri
         self.tris = {sw.name: _Tri(sw) for sw in t.switches}
-        _check_compatibility(t, self.tris, n)
 
         # corner arc counts
         self.a: dict[Corner, int] = {}
@@ -123,8 +110,6 @@ class _Geom:
             ns = [n[e.branch] for e in tri.word]
             for c in range(3):
                 self.a[(w, c)] = (ns[c] + ns[(c + 1) % 3] - ns[(c + 2) % 3]) // 2
-            for c in range(3):
-                assert self.a[(w, c)] + self.a[(w, (c - 1) % 3)] == ns[c]
 
         # corner cycle and crossed arrivals around every region point
         self.region_corners: list[tuple[Corner, ...]] = []
@@ -166,11 +151,11 @@ class _Geom:
                     arc = ((w, c), k)
                     for key in ((e1, q1), (e2, q2)):
                         if key in self.point_arc:
-                            raise AssertionError(f"point {key} claimed twice")
+                            raise InconsistentDrawing(f"point {key} claimed twice")
                         self.point_arc[key] = arc
                     self.arc_ends[arc] = ((e1, q1), (e2, q2))
-        expected = 2 * sum(self.n.values())
-        assert len(self.point_arc) == expected
+        if len(self.point_arc) != 2 * sum(self.n.values()):
+            raise InconsistentDrawing("arcs do not claim every crossing point")
 
     def _choose_cuts(self) -> None:
         self.cut: dict[str, int] = {}
@@ -193,7 +178,7 @@ class _Geom:
             return self.cut[e.branch]
         if corner == hi:
             return self.n[e.branch] - self.cut[e.branch]
-        raise AssertionError(f"{corner} is not adjacent to side {e}")
+        raise InconsistentDrawing(f"{corner} is not adjacent to side {e}")
 
     def leg_items(self, e: BranchEnd) -> tuple:
         """Arc and wall crossings of the branch half at this switch, ordered
@@ -286,22 +271,24 @@ class _Geom:
 class TracedCurve:
     """One component of the realised system."""
 
-    coords: tuple[int, ...]
     crossings: tuple[tuple[str, int], ...]  # branch halves met, in travel order
 
 
 @dataclass(frozen=True)
 class NormalBasis:
-    """A disjoint curve system in canonical position against the track."""
+    """A disjoint curve system in canonical position against the track.
+
+    The drawing of the union rides along as `geom`, so later stages reuse
+    it instead of drawing the same system again.
+    """
 
     curves: tuple[NormalCurve, ...]
     union: tuple[int, ...]
-    cuts: tuple[int, ...]
-    corner_arcs: tuple[tuple[str, tuple[int, int, int]], ...]
     components: tuple[TracedCurve, ...]
     assignment: tuple[tuple[int, ...], ...]  # curve index -> component indices
     tau_crossings: int
     length: int
+    geom: _Geom = field(compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -347,27 +334,21 @@ def _assign_components(
 def normalize_basis(t: TrainTrack, curves: Iterable) -> NormalBasis:
     """Put a disjoint curve system into canonical position.
 
-    Raises DimensionMismatch, IncompatibleCoordinates, EmptyCurve,
-    NotDisjoint, or ComponentWithoutSwitch accordingly.
+    Each curve is checked once by `bounds.curve_length`, which raises
+    DimensionMismatch or IncompatibleCoordinates; EmptyCurve and NotDisjoint
+    are raised here.  The returned basis carries the drawing of the union.
     """
     fixed: list[NormalCurve] = []
     for cur in curves:
         if not isinstance(cur, NormalCurve):
             cur = NormalCurve(tuple(cur))
-        if len(cur.coords) != t.l:
-            raise DimensionMismatch(
-                f"curve has {len(cur.coords)} coordinates, track has {t.l} branches"
-            )
-        if sum(cur.coords) == 0:
+        if curve_length(cur, t) == 0:
             raise EmptyCurve("curve crosses no dual edge")
         fixed.append(cur)
     if not fixed:
         raise EmptyCurve("empty curve system")
 
     branches = t.branches
-    tris = {sw.name: _Tri(sw) for sw in t.switches}
-    for cur in fixed:
-        _check_compatibility(t, tris, dict(zip(branches, cur.coords)))
     union = {b: sum(cur.coords[i] for cur in fixed) for i, b in enumerate(branches)}
     geom = _Geom(t, union)
 
@@ -382,27 +363,21 @@ def normalize_basis(t: TrainTrack, curves: Iterable) -> NormalBasis:
     assignment = _assign_components(fixed, comp_coords)
 
     components = tuple(
-        TracedCurve(
-            coords=comp_coords[ci],
-            crossings=tuple((e.branch, e.end) for e in geom.comp_word(ci)),
-        )
+        TracedCurve(tuple((e.branch, e.end) for e in geom.comp_word(ci)))
         for ci in range(len(geom.comps))
     )
     tau = sum(len(c.crossings) for c in components)
     length = sum(union.values())
-    assert tau <= 2 * length
+    if tau > 2 * length:
+        raise BoundViolated(f"{tau} leg crossings exceed twice the length {length}")
     return NormalBasis(
         curves=tuple(fixed),
         union=tuple(union[b] for b in branches),
-        cuts=tuple(geom.cut[b] for b in branches),
-        corner_arcs=tuple(
-            (w, (geom.a[(w, 0)], geom.a[(w, 1)], geom.a[(w, 2)]))
-            for w in sorted(geom.tris)
-        ),
         components=components,
         assignment=assignment,
         tau_crossings=tau,
         length=length,
+        geom=geom,
     )
 
 
@@ -421,14 +396,12 @@ class GraphEdge:
 class GraphFace:
     walk: tuple[tuple[str, int], ...]  # (edge name, direction) boundary visits
     corners: tuple[str, ...]  # switch met after each visit
-    inside_regions: tuple[int, ...]
     inside_sides: tuple[tuple[int, int], ...]  # (component, 0 left / 1 right)
 
 
 @dataclass(frozen=True)
 class ReducedGraph:
     basis: NormalBasis
-    vertices: tuple[str, ...]
     edges: tuple[GraphEdge, ...]
     faces: tuple[GraphFace, ...]
 
@@ -440,7 +413,8 @@ def _seg_node(geom: _Geom, seg: Seg, e: BranchEnd):
         return ("R", lo[0], lo[1], g)
     if g > geom.n[b] - geom.a[hi]:
         return ("R", hi[0], hi[1], geom.n[b] - g)
-    assert g == geom.a[lo] == geom.n[b] - geom.a[hi]
+    if not g == geom.a[lo] == geom.n[b] - geom.a[hi]:
+        raise InconsistentDrawing(f"segment {seg} lies in no stack or switch")
     return ("C", geom.t.switch_of(e).name)
 
 
@@ -508,7 +482,8 @@ def _build_edges(geom: _Geom) -> dict[str, GraphEdge]:
                     raw.append(((sw.name, i), (w2, i2), tuple(run)))
                     break
                 pair = [item for item in node_segs[node] if item[0] != cur]
-                assert len(pair) == 1, f"stack node {node} is not a corridor"
+                if len(pair) != 1:
+                    raise InconsistentDrawing(f"stack node {node} is not a corridor")
                 cur, side = pair[0]
     edges = {}
     for k, (end_a, end_b, segs) in enumerate(sorted(raw)):
@@ -521,7 +496,8 @@ def _trace_faces(edges: dict[str, GraphEdge], alive: set) -> list:
     slots: dict[tuple[str, int], tuple[str, int]] = {}
     for name in sorted(alive):
         for d, end in enumerate(edges[name].ends):
-            assert end not in slots
+            if end in slots:
+                raise InconsistentDrawing(f"two walls leave slot {end}")
             slots[end] = (name, d)
 
     def next_half(half: tuple[str, int]) -> tuple[str, int]:
@@ -532,7 +508,7 @@ def _trace_faces(edges: dict[str, GraphEdge], alive: set) -> list:
             if slot in slots:
                 name2, d2 = slots[slot]
                 return (name2, d2)
-        raise AssertionError("unreachable: head switch has no departing slot")
+        raise InconsistentDrawing(f"switch {w} has no departing slot")
 
     todo = {(name, d) for name in alive for d in (0, 1)}
     faces = []
@@ -564,12 +540,14 @@ def _group_runs(edges, seg_home, items):
     Returns the visit walk [(edge name, dir)] and corner list [switch].
     """
     cs = [i for i, it in enumerate(items) if it[0] == "C"]
-    assert cs, "walk without a switch must have been caught as a circle"
+    if not cs:
+        raise InconsistentDrawing("a walk meets no switch")
     walk, corners = [], []
     for a, b in zip(cs, cs[1:] + [cs[0] + len(items)]):
         corners.append(items[a % len(items)][1])
         run = [items[i % len(items)][1:] for i in range(a + 1, b)]
-        assert run, "two switch visits with no wall between them"
+        if not run:
+            raise InconsistentDrawing("two switch visits with no wall between them")
         name = seg_home[run[0][0]]
         segs = edges[name].segments
         fwd = len(run) == len(segs) and all(
@@ -579,7 +557,8 @@ def _group_runs(edges, seg_home, items):
             r[0] == s and r[1].end == 1 - eps
             for r, (s, eps) in zip(run, reversed(segs))
         )
-        assert fwd != rev, f"run {run} does not traverse corridor {name} cleanly"
+        if fwd == rev:
+            raise InconsistentDrawing(f"run {run} does not traverse corridor {name} cleanly")
         walk.append((name, 0 if fwd else 1))
     # corners trail the visit they follow
     return tuple(walk), tuple(corners[1:] + corners[:1])
@@ -615,7 +594,8 @@ def _type2_items(geom: _Geom, ci: int, side: int):
         nxt = segs[(idx + 1) % len(segs)]
         node = _seg_node(geom, segs[idx], e)
         node2 = _seg_node(geom, nxt, ext[0])
-        assert node == node2, f"side walk breaks inside triangle: {node} vs {node2}"
+        if node != node2:
+            raise InconsistentDrawing(f"side walk breaks inside triangle: {node} vs {node2}")
         items.append(("seg", segs[idx], entries[idx]))
         if node[0] == "C":
             items.append(("C", node[1]))
@@ -643,7 +623,7 @@ def _initial_contents(geom: _Geom, edges: dict[str, GraphEdge], faces: list):
         key = _cyclic_key(flipped)
         if key in lookup:
             return lookup[key]
-        raise AssertionError(f"no traced face matches walk {walk}")
+        raise InconsistentDrawing(f"no traced face matches walk {walk}")
 
     contents: dict[int, dict] = {
         fi: {"regions": [], "sides": []} for fi in range(len(faces))
@@ -657,25 +637,25 @@ def _initial_contents(geom: _Geom, edges: dict[str, GraphEdge], faces: list):
                 edges, seg_home, _type2_items(geom, ci, side)
             )
             contents[locate(walk)]["sides"].append((ci, side))
-    total = sum(len(v["regions"]) + len(v["sides"]) for v in contents.values())
-    assert total == len(geom.regs) + 2 * len(geom.comps)
-    assert all(
-        len(v["regions"]) + len(v["sides"]) == 1 for v in contents.values()
-    ), "initial faces must carry exactly one region point or curve side each"
+    if any(len(v["regions"]) + len(v["sides"]) != 1 for v in contents.values()):
+        raise InconsistentDrawing(
+            "initial faces must carry exactly one region point or curve side each"
+        )
     return contents
 
 
 def _find_type1_bigon(geom: _Geom) -> Optional[tuple[int, int, int]]:
     for ri, corners in enumerate(geom.region_corners):
         free = [pos for pos, corner in enumerate(corners) if geom.a[corner] == 0]
-        assert free, "fully encircled region point must have been rejected"
+        if not free:
+            raise InconsistentDrawing(f"region {ri} is encircled by one component")
         if len(free) == 1:
             if len(corners) == 1:
                 raise ValueError(
                     f"region {ri} meets the track along a single corner; "
                     "the closed model does not admit the construction"
                 )
-            raise ValueError(
+            raise NotMinimal(
                 f"the system leaves a single free corner at region {ri}; "
                 "its length is not minimal"
             )
@@ -684,9 +664,12 @@ def _find_type1_bigon(geom: _Geom) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _push_across(t: TrainTrack, geom: _Geom, basis: NormalBasis, hit) -> NormalBasis:
+def _push_across(basis: NormalBasis, hit) -> NormalBasis:
     """Slide the arc bundle hugging one side of a two-cornered face across
-    the region point.  Total length must be unchanged."""
+    the region point.  Both sides of the face cross equally many dual edges,
+    so the total length is unchanged.  The new basis comes with its own
+    drawing."""
+    geom = basis.geom
     ri, i, j = hit
     corners = geom.region_corners[ri]
     gaps = geom.region_gaps[ri]
@@ -705,7 +688,7 @@ def _push_across(t: TrainTrack, geom: _Geom, basis: NormalBasis, hit) -> NormalB
     mids_a, gaps_a = span(i, j)
     mids_b, gaps_b = span(j, i)
     if len(gaps_a) != len(gaps_b):
-        raise ValueError(
+        raise NotMinimal(
             f"sliding across region {ri} changes the total length; "
             "the system is not of minimal length"
         )
@@ -713,13 +696,12 @@ def _push_across(t: TrainTrack, geom: _Geom, basis: NormalBasis, hit) -> NormalB
     if not mids:
         raise ValueError(f"region {ri} is a two-cornered disk; cannot reduce")
     q0 = min(geom.a[c] for c in mids)
-    assert q0 >= 1
 
     curve_of_comp = {}
     for ci, comps in enumerate(basis.assignment):
         for comp in comps:
             curve_of_comp[comp] = ci
-    branches = t.branches
+    branches = geom.t.branches
     deltas = [[0] * len(branches) for _ in basis.curves]
     bindex = {b: k for k, b in enumerate(branches)}
     for depth in range(1, q0 + 1):
@@ -733,11 +715,9 @@ def _push_across(t: TrainTrack, geom: _Geom, basis: NormalBasis, hit) -> NormalB
     for ci, cur in enumerate(basis.curves):
         coords = tuple(x + d for x, d in zip(cur.coords, deltas[ci]))
         if any(x < 0 for x in coords):
-            raise AssertionError("slide drove a coordinate negative")
+            raise InconsistentDrawing("slide drove a coordinate negative")
         new_curves.append(NormalCurve(coords, cur.components))
-    out = normalize_basis(t, new_curves)
-    assert out.length == basis.length, "slide must preserve total length"
-    return out
+    return normalize_basis(geom.t, new_curves)
 
 
 class _UnionFind:
@@ -759,18 +739,18 @@ def dual_graph(t: TrainTrack, basis: NormalBasis) -> ReducedGraph:
 
     Slides length-neutral arc bundles off two-cornered faces, then deletes
     walls of one-visit and two-visit faces until every face is combinatorially
-    at least a triangle or is bounded by a single wall.
+    at least a triangle or is bounded by a single wall.  Every round works on
+    the drawing its basis carries; a slide returns a basis with a new one.
     """
-    geom = None
     for _round in range(64 + 8 * t.l):
-        geom = _Geom(t, dict(zip(t.branches, basis.union)))
+        geom = basis.geom
         _check_spine_connected(geom)
         hit = _find_type1_bigon(geom)
         if hit is None:
             break
-        basis = _push_across(t, geom, basis, hit)
+        basis = _push_across(basis, hit)
     else:
-        raise ValueError("corner slides did not converge")
+        raise SlidesDidNotConverge("corner slides did not converge")
 
     edges = _build_edges(geom)
     alive = set(edges)
@@ -797,7 +777,7 @@ def dual_graph(t: TrainTrack, basis: NormalBasis) -> ReducedGraph:
         if monos:
             target = monos[0]
             if class_sides(target) == 0:
-                raise ValueError(
+                raise NotMinimal(
                     "a region point sits in a one-wall face; "
                     "the system is not of minimal length"
                 )
@@ -821,17 +801,17 @@ def dual_graph(t: TrainTrack, basis: NormalBasis) -> ReducedGraph:
     faces = []
     for walk in sorted(final_walks, key=_cyclic_key):
         roots = {uf.find(half_home[half]) for half in walk}
-        assert len(roots) == 1, "face walk spans several merged zones"
+        if len(roots) != 1:
+            raise InconsistentDrawing("face walk spans several merged zones")
         (root,) = roots
         if root in seen_roots:
             raise ValueError(
                 "reduction produced a face with disconnected boundary"
             )
         seen_roots[root] = 1
-        regions_in, sides_in = [], []
+        sides_in = []
         for fi in range(len(walks0)):
             if uf.find(fi) == root:
-                regions_in.extend(contents0[fi]["regions"])
                 sides_in.extend(contents0[fi]["sides"])
         corners = []
         for half in walk:
@@ -841,7 +821,6 @@ def dual_graph(t: TrainTrack, basis: NormalBasis) -> ReducedGraph:
             GraphFace(
                 walk=tuple(walk),
                 corners=tuple(corners),
-                inside_regions=tuple(sorted(regions_in)),
                 inside_sides=tuple(sorted(sides_in)),
             )
         )
@@ -856,15 +835,11 @@ def dual_graph(t: TrainTrack, basis: NormalBasis) -> ReducedGraph:
             f"face census is inconsistent: chi {euler} != {2 - 2 * t.genus}"
         )
     for f in faces:
-        assert len(f.walk) >= 3 or len({name for name, _d in f.walk}) == 1
+        if len(f.walk) < 3 and len({name for name, _d in f.walk}) > 1:
+            raise InconsistentDrawing("reduction left a two-wall face")
 
     kept = tuple(edges[name] for name in sorted(alive))
-    return ReducedGraph(
-        basis=basis,
-        vertices=tuple(sw.name for sw in t.switches),
-        edges=kept,
-        faces=tuple(faces),
-    )
+    return ReducedGraph(basis=basis, edges=kept, faces=tuple(faces))
 
 
 # ---------------------------------------------------------------------------
@@ -912,17 +887,12 @@ def sigma_prime(graph: ReducedGraph) -> SigmaPrime:
 @dataclass(frozen=True)
 class CircleInfo:
     switch: str
-    sutures: int
     starred: bool
-    chosen: bool  # lies in the image of the face assignment
 
 
 @dataclass(frozen=True)
 class TubePiece:
     switch: str
-    first_kind: int
-    arc_meetings: int  # crossings of beta arcs with the cut circle
-    one_meetings: int  # crossings of the distinguished beta arc with alphas
     factor: int
 
 
@@ -935,16 +905,9 @@ class BorderedSuturedDiagram:
     beta_arcs: tuple[str, ...]
     beta_arc_ends: tuple[tuple[str, tuple[str, str]], ...]  # arc -> end switches
     intersections: tuple[tuple[str, str, int], ...]
-    beta_orders: tuple[tuple[str, tuple[str, ...]], ...]
     basis_length: int
     m: int
     pieces: tuple[TubePiece, ...] = ()
-
-    def crossing(self, alpha: str, beta: str) -> int:
-        for a, b, n in self.intersections:
-            if a == alpha and b == beta:
-                return n
-        return 0
 
 
 def _ring_items(geom: _Geom, w: str):
@@ -1019,44 +982,36 @@ def build_diagram(
     graph = assign.graph
     if graph.basis.union != basis.union or graph.basis.curves != basis.curves:
         raise ValueError("basis does not match the reduced graph; pass graph.basis")
-    geom = _Geom(t, dict(zip(t.branches, basis.union)))
+    geom = basis.geom
     rmap = sigma.region_map(t)
     starred = set(rmap.values())
     names = [sw.name for sw in t.switches]
     hug = {w: w not in starred for w in names}
 
-    g = t.genus
-    s, l, kappa = t.s, t.l, len(geom.regs)
-    m = basis.m
+    g, s, m = t.genus, t.s, basis.m
     alpha1 = [f"a1.{b}" for b in t.branches]
     alpha2 = [f"a2.{w}" for w in names if hug[w]]
-    assert len(alpha2) == s - kappa
-    assert len(alpha1) + len(alpha2) == 2 * (g + s - 1)
+    if len(alpha2) != s - len(geom.regs) or len(alpha1) + len(alpha2) != 2 * (g + s - 1):
+        raise InconsistentDrawing("alpha count does not match the surface rank")
 
     chosen = set(assign.choice)
     beta_c = [f"bc{ci}" for ci in range(m)]
     beta1 = [f"b1.{edge.name}" for edge in graph.edges]
     beta2 = [f"b2.{w}" for w in names if w not in chosen]
-    assert len(beta1) + len(beta2) == 2 * (g + s - m - 1), (
-        "wall and spare-circle count must match the cut-surface rank"
-    )
+    if len(beta1) + len(beta2) != 2 * (g + s - m - 1):
+        raise InconsistentDrawing(
+            "wall and spare-circle count must match the cut-surface rank"
+        )
 
     cross: dict[tuple[str, str], int] = {}
-    orders: list[tuple[str, tuple[str, ...]]] = []
 
-    def add(a: str, b: str, k: int = 1) -> None:
-        cross[(a, b)] = cross.get((a, b), 0) + k
+    def add(a: str, b: str) -> None:
+        cross[(a, b)] = cross.get((a, b), 0) + 1
 
     # curve components against the branch arcs
-    circle_total = 0
     for ci, comp in enumerate(basis.components):
-        order = []
         for b, _eps in comp.crossings:
-            add(f"a1.{b}", f"bc{ci}", 1)
-            order.append(f"a1.{b}")
-        circle_total += len(order)
-        orders.append((f"bc{ci}", tuple(order)))
-    assert circle_total == basis.tau_crossings <= 2 * basis.length
+            add(f"a1.{b}", f"bc{ci}")
 
     # wall arcs: interior crossings plus detachment at both ends
     wall_legs: dict[Seg, set[BranchEnd]] = {}
@@ -1070,26 +1025,20 @@ def build_diagram(
     arc_ends: list[tuple[str, tuple[str, str]]] = []
     for edge in graph.edges:
         label = f"b1.{edge.name}"
-        parts: list[list[str]] = []
+        end_crossings = 0
         for w, slot in edge.ends:
-            part: list[str] = []
             if hug[w]:
-                part.append(f"a2.{w}")
-                add(f"a2.{w}", label, 1)
+                end_crossings += 1
+                add(f"a2.{w}", label)
             for e in _detach_legs(geom, w, slot):
-                part.append(f"a1.{e.branch}")
-                add(f"a1.{e.branch}", label, 1)
-            parts.append(part)
-        head, tail = parts
-        assert len(head) + len(tail) <= 8, "wall arc end adjustments exceed the cap"
-        interior: list[str] = []
+                end_crossings += 1
+                add(f"a1.{e.branch}", label)
+        if end_crossings > 8:
+            raise BoundViolated(f"wall arc {label} has {end_crossings} end crossings, cap 8")
         for seg, first in edge.segments:
             for eps in (first, 1 - first):
-                e = BranchEnd(seg[0], eps)
-                if e in wall_legs.get(seg, ()):
-                    interior.append(f"a1.{seg[0]}")
-                    add(f"a1.{seg[0]}", label, 1)
-        orders.append((label, tuple(head + interior + list(reversed(tail)))))
+                if BranchEnd(seg[0], eps) in wall_legs.get(seg, ()):
+                    add(f"a1.{seg[0]}", label)
         arc_ends.append((label, (edge.ends[0][0], edge.ends[1][0])))
 
     # spare circles: the long way around, once per switch off the image
@@ -1097,33 +1046,21 @@ def build_diagram(
         if w in chosen:
             continue
         label = f"b2.{w}"
-        order = []
-        if hug[w]:
-            order.append(f"a2.{w}")
-            add(f"a2.{w}", label, 1)
+        if hug[w]:  # met once on each side of the legs
+            add(f"a2.{w}", label)
+            add(f"a2.{w}", label)
         for e in _long_way_legs(geom, w):
-            order.append(f"a1.{e.branch}")
-            add(f"a1.{e.branch}", label, 1)
-        if hug[w]:
-            order.append(f"a2.{w}")
-            add(f"a2.{w}", label, 1)
-        orders.append((label, tuple(order)))
+            add(f"a1.{e.branch}", label)
         arc_ends.append((label, (w, w)))
 
-    circles = tuple(
-        CircleInfo(switch=w, sutures=2, starred=(w in starred), chosen=(w in chosen))
-        for w in names
-    )
-    intersections = tuple(sorted((a, b, n) for (a, b), n in cross.items()))
     return BorderedSuturedDiagram(
         genus=g,
-        circles=circles,
+        circles=tuple(CircleInfo(switch=w, starred=(w in starred)) for w in names),
         alpha_arcs=tuple(alpha1 + alpha2),
         beta_circles=tuple(beta_c),
         beta_arcs=tuple(beta1 + beta2),
         beta_arc_ends=tuple(sorted(arc_ends)),
-        intersections=intersections,
-        beta_orders=tuple(sorted(orders)),
+        intersections=tuple(sorted((a, b, n) for (a, b), n in cross.items())),
         basis_length=basis.length,
         m=m,
     )
@@ -1136,64 +1073,36 @@ def build_diagram(
 @dataclass(frozen=True)
 class GeneratorSet:
     count: int
-    generators: Optional[tuple] = None  # tuples of (alpha, beta, point index)
 
 
-def count_generators(
-    d: BorderedSuturedDiagram, enumerate_all: bool = False
-) -> GeneratorSet:
+def count_generators(d: BorderedSuturedDiagram) -> GeneratorSet:
     """Count sets of crossing points that occupy every beta circle exactly
     once and every arc at most once, alphas pairwise distinct.
 
     The count runs a subset-mask sweep over the beta objects and stays
-    polynomial in the crossing data for a fixed beta count; explicit
-    enumeration is for small diagrams only.
+    polynomial in the crossing data for a fixed beta count.
     """
     betas = list(d.beta_circles) + list(d.beta_arcs)
     bindex = {b: i for i, b in enumerate(betas)}
     need = 0
     for b in d.beta_circles:
         need |= 1 << bindex[b]
-    options: dict[str, list[tuple[int, str, int]]] = {a: [] for a in d.alpha_arcs}
+    options: dict[str, list[tuple[int, int]]] = {a: [] for a in d.alpha_arcs}
     for a, b, n in d.intersections:
         if n > 0:
-            options[a].append((bindex[b], b, n))
+            options[a].append((bindex[b], n))
 
     dp: dict[int, int] = {0: 1}
     for a in d.alpha_arcs:
         ndp = dict(dp)
         for mask, ways in dp.items():
-            for bi, _b, n in options[a]:
+            for bi, n in options[a]:
                 if mask >> bi & 1:
                     continue
                 key = mask | 1 << bi
                 ndp[key] = ndp.get(key, 0) + ways * n
         dp = ndp
-    total = sum(ways for mask, ways in dp.items() if mask & need == need)
-
-    gens = None
-    if enumerate_all:
-        if total > 200000:
-            raise ValueError(f"refusing to enumerate {total} generators")
-        found: list[tuple] = []
-
-        def walk(idx: int, mask: int, picked: tuple) -> None:
-            if idx == len(d.alpha_arcs):
-                if mask & need == need:
-                    found.append(tuple(sorted(picked)))
-                return
-            a = d.alpha_arcs[idx]
-            walk(idx + 1, mask, picked)
-            for bi, b, n in options[a]:
-                if mask >> bi & 1:
-                    continue
-                for pt in range(1, n + 1):
-                    walk(idx + 1, mask | 1 << bi, picked + ((a, b, pt),))
-
-        walk(0, 0, ())
-        assert len(found) == total
-        gens = tuple(sorted(found))
-    return GeneratorSet(count=total, generators=gens)
+    return GeneratorSet(sum(ways for mask, ways in dp.items() if mask & need == need))
 
 
 # ---------------------------------------------------------------------------
@@ -1225,21 +1134,13 @@ def attach_tube_cutting(
     for c in d.circles:
         a_w = BETA_ARC_PIECE_CAP * arcs_at[c.switch]
         b_w = 3 + (0 if c.starred else 2)
-        assert b_w <= BETA_ONE_PIECE_CAP
         factor = FIRST_KIND_EXTENSIONS + a_w * b_w
-        assert factor <= cap, f"piece factor {factor} breaks the cap {cap}"
-        pieces.append(
-            TubePiece(
-                switch=c.switch,
-                first_kind=FIRST_KIND_EXTENSIONS,
-                arc_meetings=a_w,
-                one_meetings=b_w,
-                factor=factor,
-            )
-        )
+        if factor > cap:
+            raise BoundViolated(f"piece factor {factor} breaks the cap {cap}")
+        pieces.append(TubePiece(switch=c.switch, factor=factor))
         factor_total *= factor
     d2 = replace(d, pieces=tuple(pieces))
-    return d2, GeneratorSet(count=gens.count * factor_total, generators=None)
+    return d2, GeneratorSet(gens.count * factor_total)
 
 
 @dataclass(frozen=True)
@@ -1272,34 +1173,3 @@ def verify_bound(d: BorderedSuturedDiagram, report: BoundReport) -> BoundCheck:
     return BoundCheck(
         passed=not notes, count=count, bound=report.dd, notes=tuple(notes)
     )
-
-
-def serialize_diagram(d: BorderedSuturedDiagram) -> str:
-    """Stable text form; equal diagrams serialise byte-identically."""
-    lines = [
-        f"diagram genus {d.genus} circles {len(d.circles)}",
-        f"basis length {d.basis_length} components {d.m}",
-    ]
-    for c in d.circles:
-        lines.append(
-            f"circle {c.switch} sutures {c.sutures} "
-            f"starred {int(c.starred)} chosen {int(c.chosen)}"
-        )
-    for a in d.alpha_arcs:
-        lines.append(f"alpha {a}")
-    for b in d.beta_circles:
-        lines.append(f"beta circle {b}")
-    for b in d.beta_arcs:
-        lines.append(f"beta arc {b}")
-    for label, (w1, w2) in d.beta_arc_ends:
-        lines.append(f"ends {label} {w1} {w2}")
-    for a, b, n in d.intersections:
-        lines.append(f"x {a} {b} {n}")
-    for label, order in d.beta_orders:
-        lines.append(f"order {label}: {' '.join(order)}")
-    for p in d.pieces:
-        lines.append(
-            f"piece {p.switch} first {p.first_kind} arcs {p.arc_meetings} "
-            f"one {p.one_meetings} factor {p.factor}"
-        )
-    return "\n".join(lines) + "\n"

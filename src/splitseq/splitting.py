@@ -108,9 +108,6 @@ class CarryingMatrix:
         )
         return CarryingMatrix(t_from.branches, t_to.branches, ent, track_id(t_from), track_id(t_to))
 
-    def entry(self, row: str, col: str) -> int:
-        return self.entries[self.rows.index(row)][self.cols.index(col)]
-
     def apply(self, m: Measure) -> Measure:
         """Transport a measure on the later track to the earlier one."""
         if set(m.names) != set(self.cols):

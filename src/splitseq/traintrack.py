@@ -190,13 +190,6 @@ class TrainTrack:
         word = self.switch_of(e).ccw()
         return word[(word.index(e) + 1) % len(word)]
 
-    def cusps(self) -> tuple[CuspRef, ...]:
-        return tuple(
-            CuspRef(sw.name, i)
-            for sw in self.switches
-            for i in range(len(sw.cusp_corners()))
-        )
-
 
 @dataclass(frozen=True)
 class Measure:

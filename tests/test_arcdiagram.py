@@ -36,7 +36,6 @@ from splitseq.arcdiagram import (
     h1_action,
     same_pattern,
     serialize_sequence,
-    sigma_transport,
     special_arc_diagram,
     split_to_arcslides,
 )
@@ -278,7 +277,6 @@ def test_split_slides_round_trip_special(name):
         for t, _m, ev, t2 in iter_cycle_splits(name):
             sd = special_arc_diagram(t, sg)
             sd2 = apply_split_slides(sd, ev)
-            sg = sigma_transport(ev, sg)
             assert sd2 == special_arc_diagram(t2, sg)
             assert sd2.is_special()
 
@@ -300,16 +298,6 @@ def test_central_split_rejected():
     d = arc_diagram_from_track(t)
     with pytest.raises(CentralSplit):
         split_to_arcslides(d, ev)
-    with pytest.raises(CentralSplit):
-        sigma_transport(ev, SpecialMark(frozenset({"u"})))
-
-
-def test_sigma_transport_is_name_stable():
-    t, m = load("torus_anosov.track")
-    _, _, _, ev = split(t, m, "c")
-    for star in ("u", "v"):
-        sg = SpecialMark(frozenset({star}))
-        assert sigma_transport(ev, sg) == sg
 
 
 # ---------------------------------------------------------------------------

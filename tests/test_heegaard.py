@@ -1,0 +1,155 @@
+"""Tests for the bordered sutured diagram stage.
+
+Pinned cases run the whole stage, `normalize_basis` through
+`attach_tube_cutting`, on three fixtures: the punctured torus starred at
+`u`, and the two closed genus-2 tracks `genus2_hex` and `genus2_tie`
+starred at `s0`.  Each completion is pinned as (raw generator count, count
+after tube cutting); each refusal kind is pinned by one input.  The
+generator count is checked against a brute-force enumeration of the
+generators themselves.
+"""
+
+import dataclasses
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from splitseq import heegaard
+from splitseq.arcdiagram import SpecialMark
+from splitseq.bounds import DimensionMismatch, IncompatibleCoordinates
+from splitseq.heegaard import (
+    EmptyCurve,
+    NotDisjoint,
+    NotMinimal,
+    SlidesDidNotConverge,
+    attach_tube_cutting,
+    build_diagram,
+    count_generators,
+    dual_graph,
+    normalize_basis,
+    sigma_prime,
+)
+from splitseq.traintrack import parse_track
+
+FIXTURES = Path(__file__).parent / "fixtures"
+STARS = {"torus_anosov": "u", "genus2_hex": "s0", "genus2_tie": "s0"}
+
+
+def load(name: str):
+    return parse_track((FIXTURES / f"{name}.track").read_text())[0]
+
+
+def diagram(name: str, curve):
+    t = load(name)
+    basis = normalize_basis(t, [curve])
+    graph = dual_graph(t, basis)
+    sigma = SpecialMark(frozenset({STARS[name]}))
+    return build_diagram(t, graph.basis, sigma, sigma_prime(graph))
+
+
+def enumerate_generators(d) -> list[tuple]:
+    """Every generator of the diagram, written out: a set of (alpha, beta,
+    point) choices that meets every beta circle once, every beta arc at
+    most once, and uses each alpha arc at most once."""
+    need = set(d.beta_circles)
+    options = {a: [] for a in d.alpha_arcs}
+    for a, b, n in d.intersections:
+        options[a].append((b, n))
+    found = []
+
+    def walk(idx: int, used: frozenset, picked: tuple) -> None:
+        if idx == len(d.alpha_arcs):
+            if need <= used:
+                found.append(picked)
+            return
+        a = d.alpha_arcs[idx]
+        walk(idx + 1, used, picked)
+        for b, n in options[a]:
+            if b in used:
+                continue
+            for pt in range(1, n + 1):
+                walk(idx + 1, used | {b}, picked + ((a, b, pt),))
+
+    walk(0, frozenset(), ())
+    return found
+
+
+@pytest.mark.parametrize(
+    "name, curve, raw, cut",
+    [
+        ("torus_anosov", (1, 0, 1), 16, 2816),
+        ("genus2_hex", (0, 0, 1, 0, 0, 0, 0, 1, 1), 13063752, 7928768578977792),
+        ("genus2_tie", (0, 1, 0, 1, 0, 0, 0, 0, 0), 12904878, 7067466076543488),
+    ],
+)
+def test_pinned_completions(name, curve, raw, cut):
+    d = diagram(name, curve)
+    gens = count_generators(d)
+    d2, gens2 = attach_tube_cutting(d, gens)
+    assert (gens.count, gens2.count) == (raw, cut)
+    assert len(d2.pieces) == len(d.circles)
+
+
+@pytest.mark.parametrize(
+    "name, curve, kind, message",
+    [
+        ("torus_anosov", (0, 2, 2), NotDisjoint, "cannot be partitioned"),
+        ("torus_anosov", (2, 2, 2), EmptyCurve, "parallel to the boundary"),
+        ("torus_anosov", (0, 1, 1), NotMinimal, "one-wall face"),
+        ("torus_anosov", (1, 1, 2), SlidesDidNotConverge, "did not converge"),
+        ("genus2_hex", (0, 0, 0, 1, 1, 1, 0, 1, 1), NotMinimal, "one-wall face"),
+        ("torus_anosov", (1, 0, 0), IncompatibleCoordinates, "odd crossing total"),
+        ("torus_anosov", (3, 0, 1), IncompatibleCoordinates, "triangle inequality"),
+        ("torus_anosov", (1, 0), DimensionMismatch, "coordinate"),
+        ("torus_anosov", (0, 0, 0), EmptyCurve, "crosses no dual edge"),
+    ],
+)
+def test_pinned_refusals(name, curve, kind, message):
+    with pytest.raises(kind, match=message):
+        diagram(name, curve)
+
+
+def test_one_geometry_per_basis(monkeypatch):
+    built = []
+
+    class Counted(heegaard._Geom):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(heegaard, "_Geom", Counted)
+    diagram("torus_anosov", (1, 0, 1))
+    assert len(built) == 1
+
+
+def test_torus_count_matches_enumeration():
+    d = diagram("torus_anosov", (1, 0, 1))
+    gens = enumerate_generators(d)
+    assert len(gens) == len(set(gens)) == count_generators(d).count == 16
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_count_matches_enumeration(data):
+    d = diagram("torus_anosov", (1, 0, 1))
+    n_alpha = data.draw(st.integers(1, 4))
+    n_circle = data.draw(st.integers(0, 2))
+    n_arc = data.draw(st.integers(0, 3))
+    alphas = tuple(f"a{i}" for i in range(n_alpha))
+    circles = tuple(f"bc{i}" for i in range(n_circle))
+    arcs = tuple(f"b{i}" for i in range(n_arc))
+    crossings = data.draw(
+        st.lists(st.integers(0, 3), min_size=n_alpha * (n_circle + n_arc),
+                 max_size=n_alpha * (n_circle + n_arc))
+    )
+    pairs = [(a, b) for a in alphas for b in circles + arcs]
+    small = dataclasses.replace(
+        d,
+        alpha_arcs=alphas,
+        beta_circles=circles,
+        beta_arcs=arcs,
+        intersections=tuple((a, b, n) for (a, b), n in zip(pairs, crossings) if n),
+    )
+    assert count_generators(small).count == len(enumerate_generators(small))

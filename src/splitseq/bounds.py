@@ -16,7 +16,7 @@ cusp-polygon triangulations maximises on its own.
 from dataclasses import dataclass
 from typing import Optional
 
-from .numberfield import _mat_mul
+from .numberfield import _is_primitive, _mat_mul
 from .splitting import AgolCycle, CarryingMatrix, SplitCase, incidence_compose, split_case
 from .traintrack import BranchEnd, NotFilling, TrainTrack, _region_conditions, regions
 
@@ -91,31 +91,21 @@ def r_of_psi(M) -> int:
 
 def power_positive_K(M) -> int:
     """Least K with M^K (and then every higher power) entrywise positive."""
-    return _positive_power(_square_entries(M))[0]
-
-
-def _positive_power(ent):
-    # (K, M^K) for the least K with M^K entrywise positive
-    n = len(ent)
-    cap = (n - 1) ** 2 + 1
-    p = ent
-    for k in range(1, cap + 1):
-        if all(x > 0 for row in p for x in row):
-            nxt = _mat_mul(p, ent)
-            if not all(x > 0 for row in nxt for x in row):
-                raise NotPrimitive("a positive power is followed by a non-positive one")
-            return k, p
-        p = _mat_mul(p, ent)
-    raise NotPrimitive(f"no positive power up to the dimension bound {cap}")
+    ent = _square_entries(M)
+    K = _is_primitive(ent)
+    if not K:
+        raise NotPrimitive(f"no positive power up to the dimension bound {(len(ent) - 1) ** 2 + 1}")
+    return K
 
 
 # ---------------------------------------------------------------------------
 # cusp transport along a cycle
 
-# A split along branch e trades the cusps of the two switches at its ends:
-# carried back to the pre-split track, the cusp now at the end-0 switch sits
-# at the end-1 switch's old cusp (and vice versa), joined to it by a train
-# path that runs once over e.  Everything below composes this local fact.
+# A split along branch e trades the cusps of the two switches at its ends
+# (the rule `splitting` moves puncture marks by): carried back to the
+# pre-split track, the cusp now at the end-0 switch sits at the end-1
+# switch's old cusp (and vice versa), joined to it by a train path that runs
+# once over e.  Everything below composes this local fact.
 
 
 def _period_cusp_data(cycle: AgolCycle):
@@ -194,7 +184,10 @@ def _iterate_cusp_data(cycle: AgolCycle, k: int):
 
 def _cycle_transport(cycle: AgolCycle):
     """K, M^K and the K-fold cusp data, with K searched for once."""
-    K, mk = _positive_power(_square_entries(cycle.cycle_matrix))
+    K = power_positive_K(cycle.cycle_matrix)
+    mk = ent = cycle.cycle_matrix.entries
+    for _ in range(K - 1):
+        mk = _mat_mul(mk, ent)
     sigma, gamma = _iterate_cusp_data(cycle, K)
     return K, mk, sigma, gamma
 

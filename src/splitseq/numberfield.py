@@ -154,14 +154,6 @@ class NumberField:
                 lo = mid
         return NumberField(self.minpoly, (lo, hi))
 
-    def root_float(self, bits: int = 60) -> float:
-        """Float approximation of lambda, for display only."""
-        f = self
-        while f.root_interval[1] - f.root_interval[0] > Fraction(1, 2**bits):
-            f = f.refine()
-        lo, hi = f.root_interval
-        return float((lo + hi) / 2)
-
 
 def field_create(minpoly: Sequence[int], interval: tuple) -> NumberField:
     """Build the field handle after checking monicity and root isolation."""
@@ -476,18 +468,21 @@ def nf_sign(a: NFElement) -> int:
 # Perron eigendata
 
 
-def _is_primitive(M: Sequence[Sequence[int]], cap: int) -> bool:
+def _is_primitive(M: Sequence[Sequence[int]]) -> int:
+    """Least K with the nonnegative M^K entrywise positive, or 0 if there is
+    none; a primitive n x n matrix has K <= (n-1)^2 + 1 (Wielandt's bound)."""
     n = len(M)
-    reach = [[bool(M[i][j]) for j in range(n)] for i in range(n)]
-    step = [row[:] for row in reach]
-    for _ in range(cap):
-        if all(all(row) for row in step):
-            return True
+    reach = [[bool(x) for x in row] for row in M]
+    step, k = reach, 1
+    while not all(all(row) for row in step):
+        if k > (n - 1) ** 2:
+            return 0
         step = [
-            [any(step[i][k] and reach[k][j] for k in range(n)) for j in range(n)]
+            [any(step[i][l] and reach[l][j] for l in range(n)) for j in range(n)]
             for i in range(n)
         ]
-    return all(all(row) for row in step)
+        k += 1
+    return k
 
 
 def _charpoly(M: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -545,42 +540,26 @@ def _largest_root_interval(p: tuple[int, ...]) -> tuple[Fraction, Fraction] | No
     return lo, hi
 
 
-def _refine_root(p: tuple[Fraction, ...], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    mid = (lo + hi) / 2
-    if _poly_eval(p, mid) == 0:
-        eps = (hi - lo) / 8
-        return mid - eps, mid + eps
-    if sturm_count(p, lo, mid) == 1:
-        return lo, mid
-    return mid, hi
-
-
 def _root_greater(p1, iv1, p2, iv2) -> bool:
-    """Compare distinct real algebraic numbers given isolating data."""
-    f1 = tuple(Fraction(c) for c in p1)
-    f2 = tuple(Fraction(c) for c in p2)
-    (a1, b1), (a2, b2) = iv1, iv2
-    while not (a1 > b2 or a2 > b1):
-        a1, b1 = _refine_root(f1, a1, b1)
-        a2, b2 = _refine_root(f2, a2, b2)
-    return a1 > b2
+    """Compare distinct real roots of monic irreducible integer polynomials."""
+    f1, f2 = NumberField(p1, iv1), NumberField(p2, iv2)
+    while True:
+        (a1, b1), (a2, b2) = f1.root_interval, f2.root_interval
+        if a1 > b2 or a2 > b1:
+            return a1 > b2
+        f1, f2 = f1.refine(), f2.refine()
 
 
 def nf_minpoly(x: NFElement) -> tuple[tuple[Fraction, ...], tuple[Fraction, Fraction]]:
     """Monic minimal polynomial of x over Q plus an isolating interval.
 
-    Computed from the characteristic polynomial of multiplication by x on
-    the power basis; its unique irreducible factor is the answer.
+    The characteristic polynomial of multiplication by the numerator on the
+    power basis is a power of the numerator's minimal polynomial qn; the
+    answer is qn(den t) / den^deg(qn).
     """
-    import sympy
-
     f = x.field
-    M = sympy.Matrix([[sympy.Rational(c, x.den) for c in row] for row in _mul_matrix(f, x.num)])
-    t = sympy.Symbol("_t")
-    poly = sympy.Poly(M.charpoly(t).as_expr(), t, domain="QQ")
-    fac = sympy.factor_list(poly)[1][0][0]
-    cs = [Fraction(int(c.p), int(c.q)) for c in fac.all_coeffs()]
-    mono = tuple(reversed([c / cs[0] for c in cs]))  # low-to-high, monic
+    qn = _irreducible_factors(_charpoly(_mul_matrix(f, x.num)))[0]
+    mono = tuple(Fraction(c, x.den ** (len(qn) - 1 - i)) for i, c in enumerate(qn))
 
     if len(mono) == 2:  # x is rational
         q = -mono[0]
@@ -615,7 +594,7 @@ def pf_eigendata(M: Sequence[Sequence[int]]):
         raise ValueError("matrix must be square and nonempty")
     if any(int(x) != x or x < 0 for row in M for x in row):
         raise ValueError("matrix entries must be nonnegative integers")
-    if not _is_primitive(M, cap=n * n):
+    if not _is_primitive(M):
         raise NotPerronFrobenius("no power up to dimension**2 is positive")
 
     factors = sorted(set(_irreducible_factors(_charpoly(M))))

@@ -6,6 +6,12 @@ carried by the old one and the elementary incidence matrix transports the
 new measure back: m_pre = elem * m_post, coordinatewise in Q(lambda).
 `split_surgery` is the surgery alone, for a case chosen without a measure.
 
+A puncture mark names a switch whose cusp's region is punctured.  A left or
+right split trades the cusps of the split branch's end switches, so their
+marks trade.  A central split merges them into one switch with both cusps;
+a mark on either end moves to a switch whose every cusp lies in that cusp's
+region, and AmbiguousMark is raised when no switch does.
+
 Iterating maximal splits on a positive measure and hashing canonical forms
 detects the eventual periodicity (preperiod n, period m, a ribbon
 isomorphism, and a stretch factor lambda > 1).
@@ -56,6 +62,10 @@ class NoCycleWithinBudget(RuntimeError):
 
 class ChainMismatch(ValueError):
     """Carrying matrices do not compose along the track chain."""
+
+
+class AmbiguousMark(ValueError):
+    """After a central split, no switch name places a puncture mark alone."""
 
 
 class SplitCase(Enum):
@@ -123,9 +133,6 @@ class CarryingMatrix:
             out[r] = acc
         return Measure.of(m.field, out)
 
-    def column_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row[j] for row in self.entries) for j in range(len(self.cols)))
-
 
 def incidence_compose(a: CarryingMatrix, b: CarryingMatrix) -> CarryingMatrix:
     """a then b along the chain: result transports b.source back to a.target."""
@@ -170,41 +177,33 @@ def large_branches(t: TrainTrack) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# puncture mark transport (marks name a cusp in the punctured region)
+# puncture marks
 
 
-def _flag_region(regs) -> dict[BranchEnd, int]:
-    return {h: i for i, r in enumerate(regs) for h in r.boundary}
+def _swap_marks(t: TrainTrack, u: str, v: str) -> tuple[str, ...]:
+    # a left or right split, and the fold that undoes it, trades the cusps
+    # of the two end switches and keeps every other corner
+    swap = {u: v, v: u}
+    return tuple(swap.get(name, name) for name in t.puncture_marks)
 
 
-def _transport_marks(t_pre: TrainTrack, post_branches, post_switches, unstable: set[str]) -> tuple[str, ...]:
-    if not t_pre.puncture_marks:
-        return ()
-    bare = TrainTrack(tuple(post_branches), tuple(post_switches), t_pre.genus)
-    pre_regs, post_regs = regions(t_pre), regions(bare)
-    pre_flag, post_flag = _flag_region(pre_regs), _flag_region(post_regs)
-    cusp_region = {
-        ref: i for i, r in enumerate(pre_regs) for ref in r.corner_cusps if ref
-    }
+def _central_marks(t: TrainTrack, branches, switches, kept: dict[str, BranchEnd]) -> tuple[str, ...]:
+    """Marks after a central split; `kept` maps each end switch to the
+    arrival end of its cusp corner, which the merged switch keeps."""
+    if not kept.keys() & set(t.puncture_marks):
+        return t.puncture_marks
+    regs = regions(TrainTrack(branches, switches, t.genus))
+    total = {sw.name: len(sw.cusp_corners()) for sw in switches}
     marks = []
-    for name in t_pre.puncture_marks:
-        pre_idx = next(i for ref, i in cusp_region.items() if ref.switch == name)
-        stable = next(
-            h for h in pre_regs[pre_idx].boundary if h.branch not in unstable
-        )
-        post_region = post_regs[post_flag[stable]]
-        # prefer a switch whose every cusp lies in this region, so that the
-        # name-based mark is unambiguous when reparsed
-        cusps = sorted(post_region.cusps)
-        here = {ref.switch for ref in cusps}
-        best = None
-        for ref in cusps:
-            total = sum(1 for r in post_regs for c in r.cusps if c.switch == ref.switch)
-            ours = sum(1 for c in post_region.cusps if c.switch == ref.switch)
-            if total == ours:
-                best = ref
-                break
-        marks.append((best or cusps[0]).switch)
+    for name in t.puncture_marks:
+        if name in kept:
+            cusps = next(r for r in regs if kept[name] in r.boundary).cusps
+            here = [ref.switch for ref in cusps]
+            whole = [s for s in here if here.count(s) == total[s]]
+            if not whole:
+                raise AmbiguousMark(f"no switch names the region of the cusp of {name} alone")
+            name = min(whole)
+        marks.append(name)
     return tuple(marks)
 
 
@@ -225,7 +224,7 @@ def _replace_switches(t: TrainTrack, drop: set[str], add: list[Switch]) -> list[
     return out
 
 
-def _elem_with_row(t_pre, post_branches, branch, col_ends, tid_pre="", tid_post=""):
+def _elem_with_row(t_pre, post_branches, branch, col_ends, tid_pre, tid_post):
     rows, cols = t_pre.branches, tuple(post_branches)
     ent = []
     for b in rows:
@@ -282,8 +281,10 @@ def _split(
 def split_surgery(t: TrainTrack, branch: str, case: SplitCase) -> tuple[TrainTrack, CarryingMatrix]:
     """The surgery of a split of a large branch in the given case; no measure.
 
-    Left and right splits rewire the two end switches and keep every branch;
-    a central split deletes the branch and merges its two switches."""
+    Left and right splits rewire the two end switches, trading their cusps
+    and marks, and keep every branch.  A central split deletes the branch
+    and merges its end switches into the end-0 one, which keeps both cusps;
+    a mark on either moves as the module docstring says."""
     if not is_large_branch(t, branch):
         raise NotLargeBranch(f"branch {branch!r} is not a large branch")
     e0, e1 = BranchEnd(branch, 0), BranchEnd(branch, 1)
@@ -301,14 +302,18 @@ def split_surgery(t: TrainTrack, branch: str, case: SplitCase) -> tuple[TrainTra
     else:
         new = [Switch.trivalent(u.name, Q, R, e0), Switch.trivalent(v.name, T, P, e1)]
         row_ends = [e0, P, R]
-    switches = _replace_switches(t, {u.name, v.name}, new)
-    marks = _transport_marks(t, branches, switches, {branch})
-    t2 = TrainTrack(branches, tuple(switches), t.genus, marks)
+    switches = tuple(_replace_switches(t, {u.name, v.name}, new))
+    if case is SplitCase.CENTRAL:
+        marks = _central_marks(t, branches, switches, {u.name: Q, v.name: T})
+    else:
+        marks = _swap_marks(t, u.name, v.name)
+    t2 = TrainTrack(branches, switches, t.genus, marks)
     return t2, _elem_with_row(t, branches, branch, row_ends, track_id(t), track_id(t2))
 
 
 def fold(t2: TrainTrack, m2: Measure, event: SplitEvent) -> tuple[TrainTrack, Measure]:
-    """Undo a Left or Right split; the Central case is not measure-determined."""
+    """Undo a Left or Right split, trading the end switches' cusps and marks
+    back; the Central case is not measure-determined."""
     if event.case is SplitCase.CENTRAL:
         raise NotFoldable("central splits do not fold back")
     f = event.branch
@@ -331,8 +336,7 @@ def fold(t2: TrainTrack, m2: Measure, event: SplitEvent) -> tuple[TrainTrack, Me
     u = Switch.trivalent(u2.name, f0, P, Q)
     v = Switch.trivalent(v2.name, f1, R, T)
     switches = _replace_switches(t2, {u2.name, v2.name}, [u, v])
-    marks = _transport_marks(t2, t2.branches, switches, {f})
-    t = TrainTrack(t2.branches, tuple(switches), t2.genus, marks)
+    t = TrainTrack(t2.branches, tuple(switches), t2.genus, _swap_marks(t2, u2.name, v2.name))
     weights = m2.as_dict()
     weights[f] = m2.weight(f) + m2.weight(T.branch) + m2.weight(Q.branch) \
         if event.case is SplitCase.LEFT \

@@ -657,10 +657,6 @@ class Labeling:
     branch_map: dict[str, tuple[int, int]]
     switch_map: dict[str, int]
 
-    def flag(self, e: BranchEnd) -> tuple[int, int]:
-        idx, flip = self.branch_map[e.branch]
-        return (idx, e.end ^ flip)
-
 
 def _emit(t: TrainTrack, start: BranchEnd):
     """Canonical word for the BFS started by arriving along `start`."""

@@ -40,7 +40,7 @@ from splitseq.bounds import (
     r_of_psi,
     report_text,
 )
-from splitseq.numberfield import nf_const
+from splitseq.numberfield import NotPerronFrobenius, _is_primitive, nf_const, pf_eigendata
 from splitseq.splitting import (
     AgolCycle,
     CarryingMatrix,
@@ -108,6 +108,38 @@ def test_power_positive_wielandt_edge():
         ent[i][(i + 1) % n] = 1
     ent[n - 1][1] = 1
     assert power_positive_K(ent) == (n - 1) ** 2 + 1
+
+
+def least_positive_power(M) -> int:
+    """Reference: the least k <= (n-1)^2 + 1 with the integer M^k > 0, else 0."""
+    n = len(M)
+    power = M
+    for k in range(1, (n - 1) ** 2 + 2):
+        if all(x > 0 for row in power for x in row):
+            return k
+        power = [[sum(power[i][l] * M[l][j] for l in range(n)) for j in range(n)] for i in range(n)]
+    return 0
+
+
+@st.composite
+def sparse_matrices(draw):
+    n = draw(st.integers(1, 6))
+    return [[draw(st.sampled_from((0, 0, 1, 2))) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices())
+def test_one_primitivity_test_behind_both_refusals(M):
+    K = _is_primitive(M)
+    assert K == least_positive_power(M)
+    if K:
+        assert power_positive_K(M) == K
+        pf_eigendata(M)
+    else:
+        with pytest.raises(NotPrimitive):
+            power_positive_K(M)
+        with pytest.raises(NotPerronFrobenius):
+            pf_eigendata(M)
 
 
 # --- torus cycle values ---
@@ -379,10 +411,10 @@ def test_push_curve_bounds_hold(coords):
 def test_c_of_psi_computes_cusp_transport_once(monkeypatch):
     # one bound_report searches for K once and transports the cusps once
     calls = []
-    for name in ("_positive_power", "_iterate_cusp_data"):
+    for name in ("_is_primitive", "_iterate_cusp_data"):
         real = getattr(bounds, name)
         monkeypatch.setattr(
             bounds, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
         )
     assert bound_report(torus_cycle()).c == 51
-    assert sorted(calls) == ["_iterate_cusp_data", "_positive_power"]
+    assert sorted(calls) == ["_is_primitive", "_iterate_cusp_data"]

@@ -45,7 +45,8 @@ GOLDEN = field_create([-1, -1, 1], (F(3, 2), 2))
 def test_field_create_accepts_isolating_interval():
     f = TRACE_FIELD
     assert f.degree == 2
-    assert abs(f.root_float() - (3 + 5**0.5) / 2) < 1e-12
+    lo, hi = f.refine(60).root_interval
+    assert abs(float((lo + hi) / 2) - (3 + 5**0.5) / 2) < 1e-12
 
 
 def test_field_create_rational_field():
@@ -58,7 +59,8 @@ def test_field_create_rational_field():
 def test_field_create_negative_root():
     f = field_create([-2, 0, 1], (-2, -1))  # lambda = -sqrt 2
     assert nf_sign(nf_gen(f)) == -1
-    assert abs(f.root_float() + 2**0.5) < 1e-12
+    lo, hi = f.refine(60).root_interval
+    assert abs(float((lo + hi) / 2) + 2**0.5) < 1e-12
 
 
 def test_field_create_rejects_two_roots():
@@ -240,7 +242,8 @@ def test_pf_eigendata_exact_eigenvector(M):
     import numpy as np
 
     rho = max(abs(np.linalg.eigvals(np.array(M, dtype=float))))
-    assert abs(field.root_float() - rho) < 1e-6
+    lo, hi = field.refine(60).root_interval
+    assert abs(float((lo + hi) / 2) - rho) < 1e-6
 
 
 def test_refine_preserves_field_identity():

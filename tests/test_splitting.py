@@ -1,6 +1,7 @@
 """Split and fold moves; carrying matrices; periodic cycle detection."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from conftest import fixture_text
 from splitseq import splitting
 from splitseq.numberfield import _is_primitive, nf_const, nf_element, nf_minpoly, nf_sign
 from splitseq.splitting import (
+    AmbiguousMark,
     CarryingMatrix,
     ChainMismatch,
     InvalidMeasure,
@@ -33,6 +35,7 @@ from splitseq.traintrack import (
     BranchEnd,
     Measure,
     Switch,
+    TrainTrack,
     check_measure,
     derived_genus,
     parse_track,
@@ -46,6 +49,7 @@ from trackgen import (
     random_measure,
     random_track,
     rename_track,
+    some_track,
 )
 
 
@@ -179,6 +183,93 @@ def test_fold_rejects_mismatched_event():
 
 
 # ---------------------------------------------------------------------------
+# puncture marks
+
+
+def traced_punctures(t, t2, branch):
+    """The post-split regions that t's punctured regions become, by face tracing.
+
+    The reference the cusp-swap rule is checked against: a half-branch not
+    on the split branch bounds the same region before and after the split.
+    """
+    where = {h: r.boundary for r in regions(t2) for h in r.boundary}
+    return {
+        where[next(h for h in r.boundary if h.branch != branch)]
+        for r in regions(t)
+        if r.punctured
+    }
+
+
+def placed_punctures(t2):
+    return {r.boundary for r in regions(t2) if r.punctured}
+
+
+def with_marks(t, marks):
+    return TrainTrack(t.branches, t.switches, t.genus, tuple(marks))
+
+
+def random_marked_track(rng):
+    """A random trivalent track with a large branch and 1-3 punctured regions."""
+    while True:
+        t = random_track(rng.choice([2, 4, 6, 8]), rng)
+        if t is None or not large_branches(t):
+            continue
+        regs = [r for r in regions(t) if r.cusps]
+        picked = rng.sample(regs, rng.randint(1, min(3, len(regs))))
+        return with_marks(t, (rng.choice(r.cusps).switch for r in picked))
+
+
+def test_marks_move_into_the_traced_region():
+    rng = random.Random(17)
+    seen = Counter()
+    for _ in range(300):
+        t = random_marked_track(rng)
+        b = rng.choice(large_branches(t))
+        for case in SplitCase:
+            try:
+                t2, _ = split_surgery(t, b, case)
+            except AmbiguousMark:
+                assert case is SplitCase.CENTRAL
+                seen["ambiguous"] += 1
+                continue
+            assert placed_punctures(t2) == traced_punctures(t, t2, b)
+            seen[case] += 1
+    assert set(seen) == {*SplitCase, "ambiguous"}
+
+
+def test_torus_central_split_keeps_its_mark():
+    t, _ = torus()
+    t2, _, _, ev = split(t, rational_measure(t, {"a": 1, "b": 1, "c": 2}), "c")
+    assert ev.case is SplitCase.CENTRAL
+    assert t2.puncture_marks == ("u",)
+    assert [r.punctured for r in regions(t2)] == [True]
+
+
+def test_central_split_moves_mark_to_a_whole_switch():
+    t = with_marks(some_track(0, sizes=(4,)), ["s1"])
+    t2, _ = split_surgery(t, "b2", SplitCase.CENTRAL)
+    assert t2.puncture_marks == ("s0",)
+    assert placed_punctures(t2) == traced_punctures(t, t2, "b2")
+
+
+def test_central_split_refuses_a_mark_no_switch_places():
+    # the region holds only the merged switch's cusp, whose other cusp lies
+    # elsewhere, so no switch name puts the puncture there
+    t = with_marks(some_track(3, sizes=(4,)), ["s3"])
+    with pytest.raises(AmbiguousMark):
+        split_surgery(t, "b1", SplitCase.CENTRAL)
+
+
+def test_fold_restores_torus_marks():
+    t, m = torus()
+    t1, m1, _, ev = split(t, m, "c")
+    assert t1.puncture_marks == ("v",)
+    tb, mb = fold(t1, m1, ev)
+    assert tb.puncture_marks == t.puncture_marks == ("u",)
+    assert (tb, mb) == (t, m)
+
+
+# ---------------------------------------------------------------------------
 # maximal splits
 
 
@@ -251,7 +342,7 @@ def test_incidence_compose_identity_and_errors():
 def test_split_elem_column_sums_positive():
     t, m = torus()
     _, _, elem, _ = split(t, m, "c")
-    assert all(s >= 1 for s in elem.column_sums())
+    assert all(sum(col) >= 1 for col in zip(*elem.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +364,7 @@ def test_agol_cycle_on_torus():
     applied = cyc.cycle_matrix.apply(cyc.start_measure)
     for b in t.branches:
         assert (applied.weight(b) - cyc.lam * cyc.start_measure.weight(b)).is_zero()
-    assert _is_primitive([list(r) for r in cyc.cycle_matrix.entries], cap=9)
+    assert _is_primitive([list(r) for r in cyc.cycle_matrix.entries]) == 3
 
 
 def test_cycle_lambda_minpoly():
@@ -355,7 +446,7 @@ def test_moves_preserve_structure_on_random_pairs():
             assert check_measure(t2, m2)
             assert derived_genus(t2) == derived_genus(t)
             assert len(regions(t2)) == kappa
-            assert all(s >= 1 for s in elem.column_sums())
+            assert all(sum(col) >= 1 for col in zip(*elem.entries))
             assert split_surgery(t, b, ev.case) == (t2, elem)
             if ev.case is not SplitCase.CENTRAL:
                 tb, mb = fold(t2, m2, ev)

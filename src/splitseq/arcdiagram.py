@@ -23,18 +23,19 @@ Splitting a branch moves exactly two points, each sliding over an end of
 the split branch and landing next to the opposite end: a pair of arcslides.
 The slides reproduce the post-split diagram up to where each affected
 interval is cut open, because the cusp sector of a switch rotates past the
-split branch while slides never move the cut.  ``apply_split_slides``
-therefore re-cuts the two intervals afterwards (new branch end to the front
-of the interval for a left split, to the back for a right split).  The
-re-cut touches no handle, and on capped homology it is invisible: its only
+split branch while slides never move the cut.  ``split_slides`` therefore
+re-cuts the two intervals afterwards (new branch end to the front of the
+interval for a left split, to the back for a right split).  The re-cut
+touches no handle, and on capped homology it is invisible: its only
 chain-level content is a boundary-parallel class.
 
 First homology of F is tracked on the chain level.  Handles are oriented
 edges between interval-vertices; an arcslide rewrites the slid handle as
-itself plus or minus the handle it slid across, an elementary matrix.
-Capping the boundary components with disks kills their classes, computed
-with an integer Smith normal form, and yields the action on the closed
-surface.
+itself plus or minus the handle it slid across, an elementary matrix;
+``h1_action`` multiplies them once per sequence.  Capping the boundary
+components with disks kills their classes, which split off exactly when an
+integer diagonal form of their matrix has every pivot +1 or -1, and yields
+the action on the closed surface.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numberfield import _det_int
+from .numberfield import _det_int, _mat_mul
 from .splitting import AgolCycle, SplitCase, SplitEvent, split_case
 from .traintrack import BranchEnd, TrainTrack, TrackIso, regions
 
@@ -378,33 +379,33 @@ def _elementary_sign(
 # splits as slide pairs
 
 
-def _split_site(d: ArcDiagram, event: SplitEvent) -> tuple[str, str, str, str]:
-    """Points at the split site: (end0, mover0, end1, mover1)."""
+def split_slides(
+    pre: ArcDiagram, event: SplitEvent
+) -> tuple[tuple[Arcslide, Arcslide], ArcDiagram]:
+    """The two slides realizing a left or right split, and the diagram after.
+
+    Each small branch on the shrinking side of the split branch slides
+    across the branch end it abuts and lands beside the opposite end; both
+    movers are read off ``pre``.  The two affected intervals are then
+    re-cut, so the returned diagram equals the one built fresh from the
+    post-split track, frames riding along untouched.
+    """
     if event.case is SplitCase.CENTRAL:
         raise CentralSplit("central splits do not act by arcslides")
+    front = event.case is SplitCase.LEFT
     e0, e1 = f"{event.branch}.0", f"{event.branch}.1"
-    pos = d._position_map()
     movers = []
     for e in (e0, e1):
-        i, j = pos[e]
-        pts = d.intervals[i]
-        k = j + 1 if event.case is SplitCase.LEFT else j - 1
+        i, j = pre.position(e)
+        pts = pre.intervals[i]
+        k = j + 1 if front else j - 1
         if not (0 <= k < len(pts)):
             raise NotAdjacent(f"no neighbor on the split side of {e}")
         movers.append(pts[k])
-    return e0, movers[0], e1, movers[1]
-
-
-def split_to_arcslides(pre: ArcDiagram, event: SplitEvent) -> tuple[Arcslide, Arcslide]:
-    """The two slides realizing a left or right split.
-
-    Each small branch on the shrinking side of the split branch slides
-    across the branch end it abuts and lands beside the opposite end.
-    """
-    e0, m0, e1, m1 = _split_site(pre, event)
-    first = Arcslide(pre, m0, e0)
-    second = Arcslide(first.apply(), m1, e1)
-    return first, second
+    first = Arcslide(pre, movers[0], e0)
+    second = Arcslide(first.apply(), movers[1], e1)
+    d = _recut(second.apply(), e0, front)
+    return (first, second), _recut(d, e1, front)
 
 
 def _recut(d: ArcDiagram, point: str, front: bool) -> ArcDiagram:
@@ -425,20 +426,6 @@ def _recut(d: ArcDiagram, point: str, front: bool) -> ArcDiagram:
     rows = list(d.intervals)
     rows[i] = tuple(pts)
     return ArcDiagram(tuple(rows), d.matching, d.labels)
-
-
-def apply_split_slides(pre: ArcDiagram, event: SplitEvent) -> ArcDiagram:
-    """Apply the slide pair of a split, then re-cut the two affected
-    intervals.  The result equals the diagram built fresh from the
-    post-split track, frames riding along untouched."""
-    return _split_slides(pre, event)[1]
-
-
-def _split_slides(pre: ArcDiagram, event: SplitEvent) -> tuple[tuple[Arcslide, Arcslide], ArcDiagram]:
-    slides = split_to_arcslides(pre, event)
-    front = event.case is SplitCase.LEFT
-    d = _recut(slides[1].apply(), f"{event.branch}.0", front)
-    return slides, _recut(d, f"{event.branch}.1", front)
 
 
 # ---------------------------------------------------------------------------
@@ -493,21 +480,17 @@ def _move_frame(
 
 @dataclass(frozen=True)
 class ArcslideSequence:
-    """Slides applied left to right, with homology bookkeeping.
+    """Slides applied left to right; the sequence is data only.
 
     ``renames`` records point renamings applied between slides, as (index
     of the next slide, old -> new pairs); factorizations use one such step
-    where the period closes up through the track isomorphism.  ``h1_matrix``
-    is the chain-level action on the handles of ``start`` in the order
-    ``handle_order``, a product of elementary matrices and so invertible
-    over the integers.
+    where the period closes up through the track isomorphism.  The homology
+    action is computed from the slides by ``h1_action``.
     """
 
     start: ArcDiagram
     slides: tuple[Arcslide, ...]
     end: ArcDiagram
-    h1_matrix: tuple[tuple[int, ...], ...]
-    handle_order: tuple[tuple[str, str], ...]
     renames: tuple[tuple[int, tuple[tuple[str, str], ...]], ...] = ()
 
 
@@ -515,81 +498,53 @@ def _identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _compose_chain_action(
-    start: ArcDiagram,
-    slides: Sequence[Arcslide],
-    renames: Sequence[tuple[int, tuple[tuple[str, str], ...]]],
-) -> tuple[list[list[int]], list[tuple[str, str]], dict[str, int]]:
-    """Multiply the elementary matrices of the slides in start coordinates.
+def _chain_action(seq: ArcslideSequence) -> tuple[tuple[int, ...], ...]:
+    """Handle-basis matrix of a loop: the slides' elementary matrices
+    multiplied in the start handle basis.
 
-    Returns (matrix, start handle order, current point name -> slot).  The
-    matrix's column k expresses the handle currently carrying slot k in the
-    start handle basis; rename steps rewire names without a matrix factor
-    because renaming does not move a handle.
+    Column k of the running product expresses the handle currently carrying
+    slot k in the start basis; a rename step rewires point names without a
+    matrix factor, because renaming moves no handle.  The end handles are
+    then identified with start handles through their foot positions, which
+    makes the matrix an endomorphism of the start basis.  The caller checks
+    that end and start have the same pattern.
     """
-    order = list(start.matching)
-    index: dict[str, int] = {}
-    for k, (x, y) in enumerate(order):
-        index[x] = k
-        index[y] = k
-    m = _identity(len(order))
-    rename_at = {pos: dict(pairs) for pos, pairs in renames}
+    start, end = seq.start, seq.end
+    order = start.matching
+    n = len(order)
+    index = {p: k for k, pair in enumerate(order) for p in pair}
+    m = _identity(n)
+    rename_at = {pos: dict(pairs) for pos, pairs in seq.renames}
 
-    def apply_rename(ren: dict[str, str]) -> None:
+    def rename(pos: int) -> None:
+        ren = rename_at.get(pos, {})
         moved = {old: index.pop(old) for old in ren if old in index}
-        for old, slot in moved.items():
-            index[ren[old]] = slot
+        index.update((ren[old], slot) for old, slot in moved.items())
 
-    for k, sl in enumerate(slides):
-        if k in rename_at:
-            apply_rename(rename_at[k])
+    for k, sl in enumerate(seq.slides):
+        rename(k)
         h_slid, h_over, s = _elementary_sign(sl.diagram, sl.slid, sl.over)
         col, row = index[h_slid[0]], index[h_over[0]]
-        for r in range(len(order)):
-            m[r][col] += s * m[r][row]
-    if len(slides) in rename_at:
-        apply_rename(rename_at[len(slides)])
-    return m, order, index
-
-
-def _sequence_matrix(
-    start: ArcDiagram,
-    slides: Sequence[Arcslide],
-    renames: Sequence[tuple[int, tuple[tuple[str, str], ...]]],
-    end: ArcDiagram,
-) -> tuple[tuple[int, ...], ...]:
-    """Full handle-basis matrix of a sequence.
-
-    For a loop (end matches start structurally) the end handles are
-    identified with start handles through their foot positions, making the
-    matrix an endomorphism of the start basis.
-    """
-    m, order, index = _compose_chain_action(start, slides, renames)
-    n = len(order)
-    if not same_pattern(start, end):
-        return tuple(tuple(r) for r in m)
-    out = [[0] * n for _ in range(n)]
-    for k, (x, y) in enumerate(order):
-        (i0, j0), (i1, j1) = start.position(x), start.position(y)
-        ex, ey = end.intervals[i0][j0], end.intervals[i1][j1]
-        if end.partner(ex) != ey:
-            raise NotALoop("end handle does not match any start handle by position")
-        kk = index[ex]
-        pair = end.handle_of(ex)
-        flip = 1 if end.position(pair[0]) == (i0, j0) else -1
         for r in range(n):
-            out[r][k] = flip * m[r][kk]
-    return tuple(tuple(r) for r in out)
+            m[r][col] += s * m[r][row]
+    rename(len(seq.slides))
+    cols = []
+    for x, _ in order:
+        i, j = start.position(x)
+        ex = end.intervals[i][j]
+        cols.append((index[ex], 1 if end.handle_of(ex)[0] == ex else -1))
+    return tuple(tuple(flip * row[c] for c, flip in cols) for row in m)
 
 
-def _smith_row_ops(
+def _diagonalize(
     mat: list[list[int]],
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]], int]:
     """Diagonalize S = U * mat * V over the integers.
 
     Returns (S, U, Uinv, rank) with U unimodular; V is not needed by any
-    caller so only its effect on S is kept.  Divisibility of the diagonal
-    is enforced so the invariant factors are genuine.
+    caller so only its effect on S is kept.  The diagonal is not made
+    divisible: the product of its |entries| still equals the product of
+    the invariant factors, which is all the caller asks about.
     """
     a = [row[:] for row in mat]
     n = len(a)
@@ -611,14 +566,6 @@ def _smith_row_ops(
             u[i][t] += c * u[j][t]
         for r in range(n):
             uinv[r][j] -= c * uinv[r][i]
-
-    def row_negate(i: int) -> None:
-        for t in range(k):
-            a[i][t] = -a[i][t]
-        for t in range(n):
-            u[i][t] = -u[i][t]
-        for r in range(n):
-            uinv[r][i] = -uinv[r][i]
 
     def col_swap(i: int, j: int) -> None:
         for r in range(n):
@@ -650,20 +597,7 @@ def _smith_row_ops(
             if a[rank][j]:
                 col_add(j, rank, -(a[rank][j] // a[rank][rank]))
                 dirty = dirty or bool(a[rank][j])
-        if dirty:
-            continue
-        if a[rank][rank] < 0:
-            row_negate(rank)
-        fixed = True
-        for i in range(rank + 1, n):
-            for j in range(rank + 1, k):
-                if a[i][j] % a[rank][rank]:
-                    row_add(rank, i, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
+        if not dirty:
             rank += 1
     return a, u, uinv, rank
 
@@ -673,15 +607,17 @@ def h1_action(
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Handle-basis action of a closed slide sequence plus its capped form.
 
+    This is the one place the chain-level action of a sequence is computed.
     The full matrix multiplies the slides' elementary matrices (and the
-    rename step, when present) in the start handle basis.  The capped
-    matrix is the induced map on cycles modulo the classes of the boundary
-    components, the action on the capped-off closed surface; it always has
-    determinant +1 or -1.  Raises NotALoop unless end matches start.
+    rename step, when present) in the start handle basis, ordered as
+    ``seq.start.matching``.  The capped matrix is the induced map on cycles
+    modulo the classes of the boundary components, the action on the
+    capped-off closed surface; it always has determinant +1 or -1.  Raises
+    NotALoop unless end matches start.
     """
     if not same_pattern(seq.start, seq.end):
         raise NotALoop("sequence does not return to its start diagram")
-    full = _sequence_matrix(seq.start, seq.slides, seq.renames, seq.end)
+    full = _chain_action(seq)
 
     d = seq.start
     order = list(d.matching)
@@ -744,13 +680,8 @@ def h1_action(
         return coeffs
 
     r = len(free)
-    m_cycles = [[0] * r for _ in range(r)]
-    for c in range(r):
-        vec = basis[c]
-        img = [sum(full[t][s] * vec[s] for s in range(n)) for t in range(n)]
-        col = in_cycle_coords(img)
-        for t in range(r):
-            m_cycles[t][c] = col[t]
+    images = _mat_mul(basis, list(zip(*full)))  # row c is full * basis[c]
+    m_cycles = [list(row) for row in zip(*(in_cycle_coords(img) for img in images))]
 
     bclasses = []
     for _, chain in d.boundary_components():
@@ -762,18 +693,10 @@ def h1_action(
         capped = tuple(tuple(row) for row in m_cycles)
     else:
         dmat = [[b[i] for b in bclasses] for i in range(r)]
-        s, u, uinv, rank = _smith_row_ops(dmat)
-        for t in range(rank):
-            if abs(s[t][t]) != 1:
-                raise NotALoop("boundary classes do not split off; capping failed")
-        um = [
-            [sum(u[i][t] * m_cycles[t][j] for t in range(r)) for j in range(r)]
-            for i in range(r)
-        ]
-        umu = [
-            [sum(um[i][t] * uinv[t][j] for t in range(r)) for j in range(r)]
-            for i in range(r)
-        ]
+        s, u, uinv, rank = _diagonalize(dmat)
+        if any(abs(s[t][t]) != 1 for t in range(rank)):
+            raise NotALoop("boundary classes do not split off; capping failed")
+        umu = _mat_mul(_mat_mul(u, m_cycles), uinv)
         for i in range(rank, r):
             for j in range(rank):
                 if umu[i][j]:
@@ -820,8 +743,7 @@ def boundary_adjustment(
     target = special_arc_diagram(t, sigma2)
     if not same_pattern(d, target):
         raise NotALoop("adjustment did not reach the target diagram")
-    h1 = _sequence_matrix(start, slides, (), d)
-    return ArcslideSequence(start, tuple(slides), d, h1, tuple(start.matching))
+    return ArcslideSequence(start, tuple(slides), d)
 
 
 def _iso_renames(iso: TrackIso, t_end: TrainTrack) -> dict[str, str]:
@@ -871,7 +793,7 @@ def factorize(cycle: AgolCycle, sigma: SpecialMark) -> ArcslideSequence:
         for ev in group:
             if split_case(t, mu, ev.branch) is not ev.case:
                 raise NotALoop(f"recorded period does not split {ev.branch} {ev.case.value}")
-            pair, d = _split_slides(d, ev)
+            pair, d = split_slides(d, ev)
             slides.extend(pair)
     t = cycle.period_tracks[-1]
     ren = _iso_renames(cycle.iso, t)
@@ -886,10 +808,7 @@ def factorize(cycle: AgolCycle, sigma: SpecialMark) -> ArcslideSequence:
     slides.extend(tail)
     if not same_pattern(d, start):
         raise NotALoop("factorization did not close up")
-    h1 = _sequence_matrix(start, slides, renames, d)
-    return ArcslideSequence(
-        start, tuple(slides), d, h1, tuple(start.matching), renames
-    )
+    return ArcslideSequence(start, tuple(slides), d, renames)
 
 
 def serialize_sequence(seq: ArcslideSequence) -> str:

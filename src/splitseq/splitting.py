@@ -144,7 +144,14 @@ def incidence_compose(a: CarryingMatrix, b: CarryingMatrix) -> CarryingMatrix:
 
 
 def track_id(t: TrainTrack) -> str:
-    return hashlib.blake2s(serialize_track(t).encode(), digest_size=4).hexdigest()
+    """Short hash of the track's text; computed once and cached on the
+    track, outside its fields, so a split's post-split id serves as the
+    next split's pre-split id."""
+    cached = getattr(t, "_tid", None)
+    if cached is None:
+        cached = hashlib.blake2s(serialize_track(t).encode(), digest_size=4).hexdigest()
+        object.__setattr__(t, "_tid", cached)
+    return cached
 
 
 # ---------------------------------------------------------------------------

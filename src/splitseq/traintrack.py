@@ -145,7 +145,11 @@ class TrainTrack:
     def __post_init__(self):
         seen: dict[BranchEnd, str] = {}
         declared = set(self.branches)
+        names: set[str] = set()
         for sw in self.switches:
+            if sw.name in names:
+                raise ParseError(f"switch {sw.name} is declared twice")
+            names.add(sw.name)
             for e in sw.ccw():
                 if e.branch not in declared:
                     raise ParseError(f"switch {sw.name} uses undeclared branch {e.branch}")
@@ -487,10 +491,7 @@ def validate(t: TrainTrack, m: Optional[Measure] = None) -> ValidationReport:
 
     switch_ok = positive = None
     if m is not None:
-        try:
-            switch_ok = switch_condition_holds(t, m)
-        except FieldMismatch:
-            raise
+        switch_ok = switch_condition_holds(t, m)
         signs = [nf_sign(w) for _, w in m.weights]
         positive = all(s == 1 for s in signs)
         if any(s == -1 for s in signs):

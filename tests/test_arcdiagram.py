@@ -10,12 +10,17 @@ x^2 - 3x + 1.
 """
 
 import dataclasses
+import random
+from math import prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
+from splitseq import arcdiagram
 from splitseq.arcdiagram import (
     ArcDiagram,
     Arcslide,
@@ -27,8 +32,9 @@ from splitseq.arcdiagram import (
     NotALoop,
     SpecialMark,
     _det_int,
+    _diagonalize,
+    _mat_mul,
     _move_frame,
-    apply_split_slides,
     arc_diagram_from_track,
     arcslide,
     boundary_adjustment,
@@ -37,10 +43,11 @@ from splitseq.arcdiagram import (
     same_pattern,
     serialize_sequence,
     special_arc_diagram,
-    split_to_arcslides,
+    split_slides,
 )
+from splitseq.numberfield import pf_eigendata
 from splitseq.splitting import SplitCase, SplitEvent, find_agol_cycle, split
-from splitseq.traintrack import parse_track, regions
+from splitseq.traintrack import Measure, parse_track, regions
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -265,7 +272,7 @@ def iter_cycle_splits(name):
 @pytest.mark.parametrize("name", CYCLE_FIXTURES)
 def test_split_slides_round_trip_plain(name):
     for t, _m, ev, t2 in iter_cycle_splits(name):
-        d2 = apply_split_slides(arc_diagram_from_track(t), ev)
+        _, d2 = split_slides(arc_diagram_from_track(t), ev)
         assert d2 == arc_diagram_from_track(t2)
 
 
@@ -276,7 +283,7 @@ def test_split_slides_round_trip_special(name):
         sg = SpecialMark(frozenset(sigma))
         for t, _m, ev, t2 in iter_cycle_splits(name):
             sd = special_arc_diagram(t, sg)
-            sd2 = apply_split_slides(sd, ev)
+            _, sd2 = split_slides(sd, ev)
             assert sd2 == special_arc_diagram(t2, sg)
             assert sd2.is_special()
 
@@ -285,7 +292,7 @@ def test_split_to_arcslides_are_two_slides():
     t, m = load("torus_anosov.track")
     _, _, _, ev = split(t, m, "c")
     d = arc_diagram_from_track(t)
-    first, second = split_to_arcslides(d, ev)
+    (first, second), _ = split_slides(d, ev)
     assert first.diagram == d
     assert second.diagram == first.apply()
     assert {first.slid, second.slid} == {"b.1", "b.0"}  # the two small ends
@@ -297,7 +304,7 @@ def test_central_split_rejected():
     t, _ = load("torus_anosov.track")
     d = arc_diagram_from_track(t)
     with pytest.raises(CentralSplit):
-        split_to_arcslides(d, ev)
+        split_slides(d, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +362,6 @@ def test_adjustment_loop_caps_to_identity():
         start=s1.start,
         slides=s1.slides + s2.slides,
         end=s2.end,
-        h1_matrix=(),
-        handle_order=tuple(s1.start.matching),
         renames=((len(s1.slides), ren),),
     )
     full, capped = h1_action(loop)
@@ -389,7 +394,51 @@ def test_factorize_torus_loop():
         assert sum(capped[i][i] for i in range(2)) == 3
         assert capped[0][0] * capped[1][1] - capped[0][1] * capped[1][0] == 1
         assert _det_int([list(r) for r in full]) in (1, -1)
-        assert seq.h1_matrix == full
+
+
+def test_one_chain_action_pass_per_sequence(monkeypatch):
+    t, m = load("torus_anosov.track")
+    cyc = find_agol_cycle(t, m, 64)
+    signs = []
+    real = arcdiagram._elementary_sign
+    monkeypatch.setattr(arcdiagram, "_elementary_sign", lambda *a: signs.append(a) or real(*a))
+    for star in ("u", "v"):
+        seq = factorize(cyc, SpecialMark(frozenset({star})))
+        assert signs == []  # factorize builds no matrix
+        h1_action(seq)
+        assert len(signs) == len(seq.slides)
+        signs.clear()
+
+
+def torus_word_cycle(word: str):
+    """Agol cycle of the Perron-Frobenius measure of a product of
+    R = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]] on the torus track."""
+    M = ((1, 0), (0, 1))
+    for ch in word:
+        X = ((1, 1), (0, 1)) if ch == "R" else ((1, 0), (1, 1))
+        M = _mat_mul(M, X)
+    field, v = pf_eigendata(M)
+    t, _ = load("torus_anosov.track")
+    m = Measure.of(field, {"a": v[0], "b": v[1], "c": v[0] + v[1]})
+    return find_agol_cycle(t, m, 200)
+
+
+def test_capped_action_has_the_stretch_factor_as_eigenvalue():
+    # splitting and arcslide stages agree: lam is a root of the capped
+    # action's characteristic polynomial x^2 - tr x + 1, decided in Q(lam)
+    rng = random.Random("torus cross-stage")
+    words = set()
+    while len(words) < 40:
+        w = "".join(rng.choice("RL") for _ in range(rng.randint(2, 9)))
+        if "R" in w and "L" in w:
+            words.add(w)
+    for w in sorted(words):
+        cyc = torus_word_cycle(w)
+        for star in ("u", "v"):
+            _, capped = h1_action(factorize(cyc, SpecialMark(frozenset({star}))))
+            assert _det_int([list(r) for r in capped]) == 1
+            tr = capped[0][0] + capped[1][1]
+            assert (cyc.lam * cyc.lam - tr * cyc.lam + 1).is_zero(), (w, star)
 
 
 def test_factorize_refuses_a_tampered_cycle():
@@ -400,6 +449,28 @@ def test_factorize_refuses_a_tampered_cycle():
     events = ((dataclasses.replace(first, case=flipped), *rest),) + cyc.events[1:]
     with pytest.raises(NotALoop, match="recorded period"):
         factorize(dataclasses.replace(cyc, events=events), SpecialMark(frozenset({"u"})))
+
+
+@st.composite
+def int_matrices(draw):
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    return [draw(st.lists(st.integers(-6, 6), min_size=k, max_size=k)) for _ in range(n)]
+
+
+@given(int_matrices())
+@settings(max_examples=150, deadline=None)
+def test_diagonalize_against_smith_normal_form(mat):
+    s, u, uinv, rank = _diagonalize(mat)
+    n, k = len(mat), len(mat[0])
+    assert _mat_mul(u, uinv) == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    assert all(
+        s[i][j] == 0 for i in range(n) for j in range(k) if i != j or i >= rank
+    )
+    factors = [abs(f) for f in invariant_factors(Matrix(mat), domain=ZZ) if f]
+    pivots = [abs(s[t][t]) for t in range(rank)]
+    assert rank == len(factors)
+    assert prod(pivots) == prod(factors)
+    assert all(p == 1 for p in pivots) == all(f == 1 for f in factors)
 
 
 def test_slide_and_inverse_cap_to_identity():
@@ -414,8 +485,6 @@ def test_slide_and_inverse_cap_to_identity():
         start=d,
         slides=(first, second),
         end=second.apply(),
-        h1_matrix=(),
-        handle_order=tuple(d.matching),
     )
     full, capped = h1_action(seq)
     n = len(full)
@@ -426,7 +495,7 @@ def test_slide_and_inverse_cap_to_identity():
 def test_empty_sequence_is_identity():
     t, _ = load("torus_anosov.track")
     d = special_arc_diagram(t, SpecialMark(frozenset({"u"})))
-    seq = ArcslideSequence(d, (), d, (), tuple(d.matching))
+    seq = ArcslideSequence(d, (), d)
     full, capped = h1_action(seq)
     n = len(full)
     assert full == tuple(tuple(int(i == j) for j in range(n)) for i in range(n))

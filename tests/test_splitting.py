@@ -329,6 +329,19 @@ def test_incidence_compose_matches_two_step():
     assert both.target == track_id(t) and both.source == track_id(t2)
 
 
+def test_track_id_is_computed_once_per_track(monkeypatch):
+    t, m = torus()
+    serialized = []
+    real = splitting.serialize_track
+    monkeypatch.setattr(splitting, "serialize_track", lambda tr: serialized.append(tr) or real(tr))
+    t1, m1, e1, _ = maximal_split(t, m)
+    _, _, e2, _ = maximal_split(t1, m1)
+    # the post-split id of the first split is the pre-split id of the second
+    assert len(serialized) == 3 and e1.source == e2.target
+    assert track_id(t) == e1.target and len(serialized) == 3
+    assert track_id(torus()[0]) == e1.target and len(serialized) == 4  # equal track, fresh cache
+
+
 def test_incidence_compose_identity_and_errors():
     t, m = torus()
     _, m1, e1, _ = maximal_split(t, m)

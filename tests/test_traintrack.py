@@ -232,6 +232,13 @@ def test_duplicate_branch_declaration():
         parse_track(text)
 
 
+def test_duplicate_switch_name():
+    # without the check this parses, and validate calls it "not connected"
+    text = TORUS.replace("switch v:", "switch u:")
+    with pytest.raises(ParseError, match="switch u is declared twice"):
+        parse_track(text)
+
+
 @pytest.mark.parametrize(
     "name",
     ["torus_anosov.track", "theta_closed.track", "genus2_hex.track", "genus2_trigons.track"],

@@ -1079,8 +1079,9 @@ def count_generators(d: BorderedSuturedDiagram) -> GeneratorSet:
     """Count sets of crossing points that occupy every beta circle exactly
     once and every arc at most once, alphas pairwise distinct.
 
-    The count runs a subset-mask sweep over the beta objects and stays
-    polynomial in the crossing data for a fixed beta count.
+    The count keeps one state per reachable set of used beta objects, so
+    its cost is exponential in the number of beta objects, and that number
+    grows with the genus.
     """
     betas = list(d.beta_circles) + list(d.beta_arcs)
     bindex = {b: i for i, b in enumerate(betas)}

@@ -12,9 +12,11 @@ marks trade.  A central split merges them into one switch with both cusps;
 a mark on either end moves to a switch whose every cusp lies in that cusp's
 region, and AmbiguousMark is raised when no switch does.
 
-Iterating maximal splits on a positive measure and hashing canonical forms
-detects the eventual periodicity (preperiod n, period m, a ribbon
-isomorphism, and a stretch factor lambda > 1).
+Iterating maximal splits on a positive measure detects the eventual
+periodicity (preperiod n, period m, a ribbon isomorphism, and a stretch
+factor lambda > 1).  Each state is keyed by its projectivized weights
+alone; only states with equal keys are compared by a ribbon isomorphism,
+so canonical forms are built only when keys collide.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .traintrack import (
     Switch,
     TrackIso,
     TrainTrack,
-    canonical_form,
     check_measure,
     regions,
     serialize_track,
@@ -417,23 +418,18 @@ class AgolCycle:
 
 
 def _state_key(t: TrainTrack, m: Measure):
-    """Canonical word plus the least projectivized measure over its labelings.
+    """The weights of `m` scaled by one 1/(sum of weights), sorted, as
+    (num, den) pairs.
 
-    The measure is scaled once, by 1/(sum of weights): the sum does not
-    depend on the labeling, so projectively isomorphic states get equal
-    keys.  `_match_states` stays the exact test."""
-    word, labs = canonical_form(t)
+    A ribbon isomorphism only permutes branches, and a factor lambda
+    cancels in 1/sum, so projectively isomorphic states get equal keys.
+    The key builds no canonical form; equal keys only pick the candidates
+    that `_match_states`, the one exact test, decides.  The track enters
+    only through that test."""
     weights = [w for _, w in m.weights]
     scale = 1 / sum(weights[1:], weights[0])
-    scaled = {b: w * scale for b, w in m.weights}
-    key_vec = min(
-        tuple(
-            (scaled[b].num, scaled[b].den)
-            for b in sorted(lab.branch_map, key=lambda b: lab.branch_map[b][0])
-        )
-        for lab in labs
-    )
-    return (word, key_vec)
+    scaled = (w * scale for w in weights)
+    return tuple(sorted((s.num, s.den) for s in scaled))
 
 
 def _match_states(
@@ -457,6 +453,9 @@ def find_agol_cycle(t: TrainTrack, m: Measure, max_iters: int) -> AgolCycle:
 
     Returns the first recurrence (n, m) in iteration order together with the
     ribbon isomorphism, the stretch factor, and the period incidence matrix.
+    Earlier states are looked up by `_state_key`, a filter on the weights
+    only; `_match_states` decides each candidate exactly, earliest first,
+    so the key never changes which recurrence is found.
     """
     if set(m.names) != set(t.branches):
         raise FieldMismatch("measure branch set does not match track")

@@ -7,7 +7,8 @@ The full counterclockwise cyclic order at the switch is side_a followed by
 side_b.  For a generic (trivalent) switch one side holds the large end and
 the other holds (small_right, small_left); the cusp is the corner between
 the two small ends.  Everything else - complementary regions, genus -
-is derived from this data by face tracing, never stored redundantly.
+is derived from this data by face tracing, never stored in the track's
+fields; the traced regions are cached on the track, outside them.
 
 Measures assign elements of a number field Q(lambda) to branches; switch
 conditions and positivity are decided exactly.
@@ -268,7 +269,17 @@ def _rotate_min(boundary, corners):
 
 
 def regions(t: TrainTrack) -> tuple[Region, ...]:
-    """Orbit decomposition of arrival half-branches under the face map."""
+    """Orbit decomposition of arrival half-branches under the face map.
+
+    Traced once per track and cached on it, outside its fields."""
+    cached = getattr(t, "_regs", None)
+    if cached is None:
+        cached = _trace_regions(t)
+        object.__setattr__(t, "_regs", cached)
+    return cached
+
+
+def _trace_regions(t: TrainTrack) -> tuple[Region, ...]:
     cusp_lookup: dict[tuple[BranchEnd, BranchEnd], CuspRef] = {}
     for sw in t.switches:
         for i, corner in enumerate(sw.cusp_corners()):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from splitseq import arcdiagram
+from splitseq import arcdiagram, traintrack
 from splitseq.arcdiagram import (
     ArcDiagram,
     Arcslide,
@@ -408,6 +408,19 @@ def test_one_chain_action_pass_per_sequence(monkeypatch):
         h1_action(seq)
         assert len(signs) == len(seq.slides)
         signs.clear()
+
+
+def test_factorize_traces_each_track_once(monkeypatch):
+    # special_arc_diagram runs twice on the start track and region_map twice
+    # more; the regions are traced once and cached on the track
+    t, m = load("torus_anosov.track")
+    cyc = find_agol_cycle(t, m, 64)
+    traced = []
+    real = traintrack._trace_regions
+    monkeypatch.setattr(traintrack, "_trace_regions", lambda x: traced.append(x) or real(x))
+    factorize(cyc, SpecialMark(frozenset({"u"})))
+    assert any(x is cyc.start_track for x in traced)
+    assert len({id(x) for x in traced}) == len(traced)
 
 
 def torus_word_cycle(word: str):

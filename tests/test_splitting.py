@@ -8,7 +8,15 @@ import pytest
 
 from conftest import fixture_text
 from splitseq import splitting
-from splitseq.numberfield import _is_primitive, nf_const, nf_element, nf_minpoly, nf_sign
+from splitseq.numberfield import (
+    _is_primitive,
+    _mat_mul,
+    nf_const,
+    nf_element,
+    nf_minpoly,
+    nf_sign,
+    pf_eigendata,
+)
 from splitseq.splitting import (
     AmbiguousMark,
     CarryingMatrix,
@@ -20,6 +28,7 @@ from splitseq.splitting import (
     NotLargeBranch,
     SplitCase,
     SplitEvent,
+    _match_states,
     _state_key,
     cycle_report,
     find_agol_cycle,
@@ -43,9 +52,11 @@ from splitseq.traintrack import (
     track_isomorphisms,
     validate,
 )
+from state_key_oracle import canonical_state_key
 from trackgen import (
     RATIONALS,
     build_track,
+    positive_measure,
     random_measure,
     random_track,
     rename_track,
@@ -434,6 +445,62 @@ def test_detector_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
+# the cycle-search key only picks candidates
+
+
+def torus_word_state(word: str):
+    """The torus fixture with the Perron-Frobenius measure of a product of
+    R = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]]."""
+    M = ((1, 0), (0, 1))
+    for ch in word:
+        M = _mat_mul(M, ((1, 1), (0, 1)) if ch == "R" else ((1, 0), (1, 1)))
+    field, v = pf_eigendata(M)
+    t, _ = torus()
+    return t, Measure.of(field, {"a": v[0], "b": v[1], "c": v[0] + v[1]})
+
+
+def cycle_outcome(t, m):
+    try:
+        c = find_agol_cycle(t, m, 200)
+    except NoCycleWithinBudget as exc:
+        return str(exc)
+    return (c.n, c.m, c.lam, c.events, c.iso, c.cycle_matrix)
+
+
+def oracle_states():
+    """300 seeded torus words, every fixture with a measure, and random
+    positive measures on the genus2_44 and genus2_tie tracks."""
+    rng = random.Random("state key oracle")
+    words = set()
+    while len(words) < 300:
+        w = "".join(rng.choice("RL") for _ in range(rng.randint(3, 16)))
+        if "R" in w and "L" in w:
+            words.add(w)
+    states = [torus_word_state(w) for w in sorted(words)]
+    states += [torus(), parse_track(fixture_text("genus2_tie.track"))]
+    for name in ("genus2_44.track", "genus2_tie.track"):
+        t, _ = parse_track(fixture_text(name))
+        states += [(t, positive_measure(t, rng)) for _ in range(10)]
+    return states
+
+
+def test_cycles_agree_with_the_canonical_form_key(monkeypatch):
+    states = oracle_states()
+    got = [cycle_outcome(t, m) for t, m in states]
+    assert sum(isinstance(out, tuple) for out in got) >= 301  # every torus state certifies
+    monkeypatch.setattr(splitting, "_state_key", canonical_state_key)
+    assert [cycle_outcome(t, m) for t, m in states] == got
+
+
+def test_a_constant_key_finds_the_same_torus_cycles(monkeypatch):
+    # every earlier state is then a candidate, and `_match_states` alone decides
+    states = [torus()] + [torus_word_state(w) for w in ("RRL", "RLL", "RRRLRL", "RRLL")]
+    got = [cycle_outcome(t, m) for t, m in states]
+    monkeypatch.setattr(splitting, "_state_key", lambda t, m: ())
+    assert [cycle_outcome(t, m) for t, m in states] == got
+
+
+# ---------------------------------------------------------------------------
 # randomized move invariance
 
 
@@ -482,4 +549,9 @@ def test_state_key_is_projective_and_labeling_free(seed):
     other = Measure.of(m.field, {"a": nf_const(m.field, 1), "b": lam, "c": 1 + lam})
     assert check_measure(t, other)
     assert _state_key(t, other) != _state_key(t, m)
-    assert _state_key(t, other)[0] == _state_key(t, m)[0]
+    # the key is only a filter: swapping the weights of a and b keeps
+    # c = a + b and the key, but a match would need lambda = 1
+    swapped = Measure.of(m.field, {"a": m.weight("b"), "b": m.weight("a"), "c": m.weight("c")})
+    assert check_measure(t, swapped)
+    assert _state_key(t, swapped) == _state_key(t, m)
+    assert _match_states(t, swapped, t, m) is None

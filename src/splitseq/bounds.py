@@ -361,20 +361,3 @@ def bound_report(cycle: AgolCycle) -> BoundReport:
         l=t0.l,
     )
 
-
-def report_text(rep: BoundReport) -> str:
-    pairs = [
-        ("genus", rep.g),
-        ("switches", rep.s),
-        ("branches", rep.l),
-        ("r", rep.r),
-        ("K", rep.K),
-        ("c", rep.c),
-        ("c_prime", rep.c_prime),
-        ("M_psi", rep.M_psi),
-        ("generator_bound", rep.dd),
-    ]
-    if rep.m is not None:
-        pairs.insert(3, ("basis", rep.m))
-    width = max(len(k) for k, _ in pairs)
-    return "\n".join(f"{k:<{width}} = {v}" for k, v in pairs) + "\n"

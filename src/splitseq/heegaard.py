@@ -1079,10 +1079,16 @@ def count_generators(d: BorderedSuturedDiagram) -> GeneratorSet:
     """Count sets of crossing points that occupy every beta circle exactly
     once and every arc at most once, alphas pairwise distinct.
 
-    The count keeps one state per reachable set of used beta objects, so
-    its cost is exponential in the number of beta objects, and that number
-    grows with the genus.
+    Cached on the diagram, outside its fields; `attach_tube_cutting`
+    carries the cache over to the tube-cut diagram.
     """
+    if not hasattr(d, "_gens"):
+        object.__setattr__(d, "_gens", GeneratorSet(_subset_dp(d)))
+    return d._gens
+
+
+def _subset_dp(d: BorderedSuturedDiagram) -> int:
+    # one state per reachable set of used betas: exponential in their number
     betas = list(d.beta_circles) + list(d.beta_arcs)
     bindex = {b: i for i, b in enumerate(betas)}
     need = 0
@@ -1103,7 +1109,7 @@ def count_generators(d: BorderedSuturedDiagram) -> GeneratorSet:
                 key = mask | 1 << bi
                 ndp[key] = ndp.get(key, 0) + ways * n
         dp = ndp
-    return GeneratorSet(sum(ways for mask, ways in dp.items() if mask & need == need))
+    return sum(ways for mask, ways in dp.items() if mask & need == need)
 
 
 # ---------------------------------------------------------------------------
@@ -1141,6 +1147,8 @@ def attach_tube_cutting(
         pieces.append(TubePiece(switch=c.switch, factor=factor))
         factor_total *= factor
     d2 = replace(d, pieces=tuple(pieces))
+    if hasattr(d, "_gens"):  # the count of d itself, never the caller's gens
+        object.__setattr__(d2, "_gens", d._gens)
     return d2, GeneratorSet(gens.count * factor_total)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .numberfield import NFElement, _mat_mul, nf_const, nf_minpoly, nf_sign
+from .numberfield import NFElement, _mat_mul, nf_const, nf_sign
 from .traintrack import (
     BranchEnd,
     FieldMismatch,
@@ -504,25 +504,3 @@ def find_agol_cycle(t: TrainTrack, m: Measure, max_iters: int) -> AgolCycle:
         seen.setdefault(key, []).append(i)
     raise NoCycleWithinBudget(f"no recurrence within {max_iters} maximal splits")
 
-
-def cycle_report(c: AgolCycle) -> str:
-    """Plain-text summary of a cycle for people to read; no stage parses it."""
-    mono, iv = nf_minpoly(c.lam)
-    lines = [
-        f"cycle n={c.n} m={c.m}",
-        "lambda minpoly = " + " ".join(str(x) for x in mono) + f" root in ({iv[0]}, {iv[1]})",
-    ]
-    for step in c.events:
-        lines.append(
-            "step " + " ".join(f"{ev.branch}:{ev.case.value}" for ev in step)
-        )
-    lines.append("period rows " + " ".join(c.cycle_matrix.rows))
-    lines.append("period cols " + " ".join(c.cycle_matrix.cols))
-    for b, row in zip(c.cycle_matrix.rows, c.cycle_matrix.entries):
-        lines.append(f"period {b} = " + " ".join(str(x) for x in row))
-    lines.append(
-        "iso " + " ".join(
-            f"{src}->{dst}.{flip}" for src, dst, flip in c.iso.branches
-        )
-    )
-    return "\n".join(lines) + "\n"

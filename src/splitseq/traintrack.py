@@ -12,6 +12,9 @@ fields; the traced regions are cached on the track, outside them.
 
 Measures assign elements of a number field Q(lambda) to branches; switch
 conditions and positivity are decided exactly.
+
+`cover_track` lifts a measured track to a finite cover.  Maximal splitting is
+local, so it commutes with lifting: a lifted torus cycle is a cycle again.
 """
 
 from __future__ import annotations
@@ -146,6 +149,8 @@ class TrainTrack:
     def __post_init__(self):
         seen: dict[BranchEnd, str] = {}
         declared = set(self.branches)
+        if len(declared) != len(self.branches):
+            raise ParseError(f"branch {max(self.branches, key=self.branches.count)} is declared twice")
         names: set[str] = set()
         for sw in self.switches:
             if sw.name in names:
@@ -327,6 +332,33 @@ def derived_genus(t: TrainTrack) -> int:
     if chi % 2:
         raise ValueError("non-orientable gluing; ribbon data inconsistent")
     return (2 - chi) // 2
+
+
+def cover_track(t: TrainTrack, m: Measure, perms: dict[str, Sequence[int]]) -> tuple[TrainTrack, Measure]:
+    """The connected cover in which branch ``x{i}`` runs from switch copies
+    ``w{i}`` at its end 0 to ``w{perms[x][i]}`` at its end 1, with x's weight.
+    A lifted region is punctured when the region below it is, and it is
+    marked by the switch of its first cusp."""
+    d = len(next(iter(perms.values()), ()))
+    if set(perms) != set(t.branches) or any(sorted(p) != list(range(d)) for p in perms.values()):
+        raise ValueError(f"need one permutation of range({d}) per branch")
+    base = {f"{x}{i}": x for x in t.branches for i in range(d)}
+
+    def lift(e: BranchEnd, j: int) -> BranchEnd:
+        return BranchEnd(f"{e.branch}{j if e.end == 0 else perms[e.branch].index(j)}", e.end)
+
+    switches = tuple(
+        Switch(f"{sw.name}{j}", tuple(tuple(lift(e, j) for e in side) for side in sw.sides))
+        for sw in t.switches
+        for j in range(d)
+    )
+    lifted = TrainTrack(tuple(base), switches, 0)
+    if not _connected(lifted):
+        raise ValueError("the cover is not connected")
+    over = {lift(h, j) for r in regions(t) if r.punctured for h in r.boundary for j in range(d)}
+    marks = tuple(r.cusps[0].switch for r in regions(lifted) if r.boundary[0] in over)
+    cover = TrainTrack(lifted.branches, switches, derived_genus(lifted), marks)
+    return cover, Measure.of(m.field, {x: m.weight(b) for x, b in base.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,9 @@ from splitseq.arcdiagram import (
     special_arc_diagram,
     split_slides,
 )
-from splitseq.numberfield import pf_eigendata
 from splitseq.splitting import SplitCase, SplitEvent, find_agol_cycle, split
-from splitseq.traintrack import Measure, parse_track, regions
+from splitseq.traintrack import parse_track, regions
+from trackgen import torus_word_state
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -62,9 +62,7 @@ WELL_FORMED = [
 ]
 
 # fixtures whose stored measure runs a genuine splitting cycle
-CYCLE_FIXTURES = ["torus_anosov.track"]
-if (FIXTURES / "genus2_cycle.track").exists():
-    CYCLE_FIXTURES.append("genus2_cycle.track")
+CYCLE_FIXTURES = ["torus_anosov.track", "genus2_cycle.track"]
 
 
 def load(name):
@@ -424,16 +422,7 @@ def test_factorize_traces_each_track_once(monkeypatch):
 
 
 def torus_word_cycle(word: str):
-    """Agol cycle of the Perron-Frobenius measure of a product of
-    R = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]] on the torus track."""
-    M = ((1, 0), (0, 1))
-    for ch in word:
-        X = ((1, 1), (0, 1)) if ch == "R" else ((1, 0), (1, 1))
-        M = _mat_mul(M, X)
-    field, v = pf_eigendata(M)
-    t, _ = load("torus_anosov.track")
-    m = Measure.of(field, {"a": v[0], "b": v[1], "c": v[0] + v[1]})
-    return find_agol_cycle(t, m, 200)
+    return find_agol_cycle(*torus_word_state(word), 200)
 
 
 def test_capped_action_has_the_stretch_factor_as_eigenvalue():
@@ -452,6 +441,17 @@ def test_capped_action_has_the_stretch_factor_as_eigenvalue():
             assert _det_int([list(r) for r in capped]) == 1
             tr = capped[0][0] + capped[1][1]
             assert (cyc.lam * cyc.lam - tr * cyc.lam + 1).is_zero(), (w, star)
+
+
+@pytest.mark.parametrize("star", ["v0", "u0", "u1"])
+def test_genus2_lift_factorizes(star):
+    # capped charpoly (x + 1)^2 (x^2 - 4x + 1): the torus action's
+    # polynomial stays a factor of the lift's
+    t, m = load("genus2_cycle.track")
+    seq = factorize(find_agol_cycle(t, m, 10), SpecialMark(frozenset({star})))
+    assert len(seq.slides) == 40
+    _, capped = h1_action(seq)
+    assert Matrix(capped).charpoly().all_coeffs() == [1, -2, -6, -2, 1]
 
 
 def test_factorize_refuses_a_tampered_cycle():

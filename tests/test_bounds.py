@@ -38,7 +38,6 @@ from splitseq.bounds import (
     power_positive_K,
     push_curve,
     r_of_psi,
-    report_text,
 )
 from splitseq.numberfield import NotPerronFrobenius, _is_primitive, nf_const, pf_eigendata
 from splitseq.splitting import (
@@ -190,9 +189,16 @@ def test_torus_bound_report():
         M_psi=m_of_psi(1, 3, 51), dd=dd_bound(1, 2, m_of_psi(1, 3, 51)),
         g=1, s=2, l=3,
     )
-    text = report_text(rep)
-    assert "r               = 3" in text
-    assert "c               = 51" in text
+
+
+def test_genus2_lift_bound_report():
+    t, m = parse_track((FIXTURES / "genus2_cycle.track").read_text())
+    rep = bound_report(find_agol_cycle(t, m, 10))
+    M_psi = m_of_psi(2, 5, 995 + 9)
+    assert rep == BoundReport(
+        r=5, K=4, c=995, c_prime=9, M_psi=M_psi, dd=dd_bound(2, 6, M_psi), g=2, s=6, l=9,
+    )
+    assert (len(str(rep.M_psi)), len(str(rep.dd))) == (272, 3813)
 
 
 # --- extension checks ---

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from splitseq import heegaard
 from splitseq.arcdiagram import SpecialMark
-from splitseq.bounds import DimensionMismatch, IncompatibleCoordinates
+from splitseq.bounds import DimensionMismatch, IncompatibleCoordinates, bound_report
 from splitseq.heegaard import (
     EmptyCurve,
     NotDisjoint,
@@ -30,11 +30,17 @@ from splitseq.heegaard import (
     dual_graph,
     normalize_basis,
     sigma_prime,
+    verify_bound,
 )
+from splitseq.splitting import find_agol_cycle
 from splitseq.traintrack import parse_track
 
 FIXTURES = Path(__file__).parent / "fixtures"
-STARS = {"torus_anosov": "u", "genus2_hex": "s0", "genus2_tie": "s0"}
+STARS = {"torus_anosov": "u", "genus2_hex": "s0", "genus2_tie": "s0", "genus2_cycle": "v0"}
+
+
+# branches a0 a1 a2 b0 b1 b2 c0 c1 c2 of the genus-2 lift
+LIFT_CURVE = (0, 0, 1, 0, 0, 0, 0, 0, 1)
 
 
 def load(name: str):
@@ -82,6 +88,7 @@ def enumerate_generators(d) -> list[tuple]:
         ("torus_anosov", (1, 0, 1), 16, 2816),
         ("genus2_hex", (0, 0, 1, 0, 0, 0, 0, 1, 1), 13063752, 7928768578977792),
         ("genus2_tie", (0, 1, 0, 1, 0, 0, 0, 0, 0), 12904878, 7067466076543488),
+        ("genus2_cycle", LIFT_CURVE, 4245970, 3016089259223040),
     ],
 )
 def test_pinned_completions(name, curve, raw, cut):
@@ -109,6 +116,28 @@ def test_pinned_completions(name, curve, raw, cut):
 def test_pinned_refusals(name, curve, kind, message):
     with pytest.raises(kind, match=message):
         diagram(name, curve)
+
+
+def test_genus2_lift_chain_counts_once_and_passes(monkeypatch):
+    # the tube-cut diagram keeps the count of the diagram it was cut from,
+    # so verify_bound runs the subset DP no second time
+    runs = []
+    real = heegaard._subset_dp
+    monkeypatch.setattr(heegaard, "_subset_dp", lambda d: runs.append(d) or real(d))
+    t, m = parse_track((FIXTURES / "genus2_cycle.track").read_text())
+    report = bound_report(find_agol_cycle(t, m, 10))
+    d = diagram("genus2_cycle", LIFT_CURVE)
+    cut, gens = attach_tube_cutting(d, count_generators(d))
+    check = verify_bound(cut, report)
+    assert check.passed and check.count == gens.count == 3016089259223040
+    assert len(runs) == 1
+
+
+def test_tube_cutting_never_caches_the_callers_count():
+    d = diagram("torus_anosov", (1, 0, 1))
+    cut, gens = attach_tube_cutting(d, heegaard.GeneratorSet(1))
+    assert gens.count == 2816 // 16
+    assert count_generators(cut).count == 16
 
 
 def test_one_geometry_per_basis(monkeypatch):

@@ -5,17 +5,17 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import fixture_text
 from splitseq import splitting
 from splitseq.numberfield import (
     _is_primitive,
-    _mat_mul,
     nf_const,
     nf_element,
     nf_minpoly,
     nf_sign,
-    pf_eigendata,
 )
 from splitseq.splitting import (
     AmbiguousMark,
@@ -30,7 +30,6 @@ from splitseq.splitting import (
     SplitEvent,
     _match_states,
     _state_key,
-    cycle_report,
     find_agol_cycle,
     fold,
     incidence_compose,
@@ -46,6 +45,7 @@ from splitseq.traintrack import (
     Switch,
     TrainTrack,
     check_measure,
+    cover_track,
     derived_genus,
     parse_track,
     regions,
@@ -61,6 +61,7 @@ from trackgen import (
     random_track,
     rename_track,
     some_track,
+    torus_word_state,
 )
 
 
@@ -399,14 +400,50 @@ def test_cycle_lambda_minpoly():
     assert iv[0] < 3 < iv[1] or (F(5, 2) <= iv[0] < iv[1] <= F(3))
 
 
-def test_cycle_report_round_trippable():
-    t, m = torus()
-    rep = cycle_report(find_agol_cycle(t, m, 10))
-    lines = rep.splitlines()
-    assert lines[0] == "cycle n=0 m=2"
-    assert lines[1] == "lambda minpoly = 1 -3 1 root in (5/2, 3)"
-    assert "step c:right" in lines and "step a:left" in lines
-    assert "period a = 2 1 0" in lines
+def test_genus2_lift_cycle():
+    t, m = parse_track(fixture_text("genus2_cycle.track"))
+    cyc = find_agol_cycle(t, m, 10)
+    assert (t.genus, cyc.n, cyc.m) == (2, 0, 3)
+    assert nf_minpoly(cyc.lam)[0] == (F(1), F(-4), F(1))
+
+
+def _cover_is_connected(t, perms) -> bool:
+    # join the switch sheets at the two ends of every lifted branch
+    d = len(perms["a"])
+    comp = {(w.name, j): {(w.name, j)} for w in t.switches for j in range(d)}
+    for x, p in perms.items():
+        w0, w1 = (t.switch_of(BranchEnd(x, end)).name for end in (0, 1))
+        for i in range(d):
+            one, other = comp[(w0, i)], comp[(w1, p[i])]
+            if one is not other:
+                one |= other
+                comp.update(dict.fromkeys(other, one))
+    return len(comp[(t.switches[0].name, 0)]) == t.s * d
+
+
+@st.composite
+def covers(draw):
+    d = draw(st.integers(1, 5))
+    return {x: tuple(draw(st.permutations(range(d)))) for x in "abc"}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.text("RL", min_size=2, max_size=8).filter(lambda w: "R" in w and "L" in w),
+    covers(),
+)
+def test_lifted_torus_cycles_certify(word, perms):
+    # maximal splitting commutes with lifting: the lift of the cycle is a
+    # cycle whose period is a multiple of the torus period
+    t, m = torus_word_state(word)
+    assume(_cover_is_connected(t, perms))
+    base = find_agol_cycle(t, m, 64)
+    lift = find_agol_cycle(*cover_track(t, m, perms), 400)
+    assert lift.m % base.m == 0
+    power = nf_const(m.field, 1)
+    for _ in range(lift.m // base.m):
+        power = power * base.lam
+    assert lift.lam == power
 
 
 def test_cycle_budget_exhaustion():
@@ -446,17 +483,6 @@ def test_detector_is_deterministic():
 
 # ---------------------------------------------------------------------------
 # the cycle-search key only picks candidates
-
-
-def torus_word_state(word: str):
-    """The torus fixture with the Perron-Frobenius measure of a product of
-    R = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]]."""
-    M = ((1, 0), (0, 1))
-    for ch in word:
-        M = _mat_mul(M, ((1, 1), (0, 1)) if ch == "R" else ((1, 0), (1, 1)))
-    field, v = pf_eigendata(M)
-    t, _ = torus()
-    return t, Measure.of(field, {"a": v[0], "b": v[1], "c": v[0] + v[1]})
 
 
 def cycle_outcome(t, m):

@@ -25,6 +25,7 @@ from splitseq.traintrack import (
     TrainTrack,
     canonical_form,
     check_measure,
+    cover_track,
     parse_track,
     regions,
     serialize_track,
@@ -32,7 +33,7 @@ from splitseq.traintrack import (
     track_isomorphisms,
     validate,
 )
-from trackgen import rename_track, some_track
+from trackgen import GENUS2_PERMS, rename_track, some_track, torus_word_state
 
 TORUS = fixture_text("torus_anosov.track")
 
@@ -237,6 +238,33 @@ def test_duplicate_switch_name():
     text = TORUS.replace("switch v:", "switch u:")
     with pytest.raises(ParseError, match="switch u is declared twice"):
         parse_track(text)
+
+
+def test_duplicate_branch_name():
+    # without the check this builds a track with l = 4, which validate
+    # reports only as an odd Euler characteristic
+    t, _ = torus()
+    with pytest.raises(ParseError, match="branch a is declared twice"):
+        TrainTrack(t.branches + ("a",), t.switches, t.genus, t.puncture_marks)
+
+
+def test_genus2_fixture_is_the_rrl_lift():
+    t, m = cover_track(*torus_word_state("RRL"), GENUS2_PERMS)
+    assert serialize_track(t, m) == fixture_text("genus2_cycle.track")
+    rep = validate(t, m)
+    assert rep.all_ok and (rep.genus, rep.kappa) == (2, 1)
+    assert t.puncture_marks == ("v0",)
+
+
+def test_cover_track_refusals():
+    t, m = torus()
+    with pytest.raises(ValueError, match="permutation"):
+        cover_track(t, m, {"a": (0, 1), "b": (1, 0), "c": (0, 0)})
+    with pytest.raises(ValueError, match="permutation"):
+        cover_track(t, m, {"a": (0, 1), "b": (1, 0)})
+    # the identity on every branch gives d disjoint copies
+    with pytest.raises(ValueError, match="not connected"):
+        cover_track(t, m, {x: (0, 1) for x in t.branches})
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,8 @@
 import random
 from fractions import Fraction
 
-from splitseq.numberfield import field_create, nf_element
+from conftest import fixture_text
+from splitseq.numberfield import _mat_mul, field_create, nf_element, pf_eigendata
 from splitseq.traintrack import (
     BranchEnd,
     Measure,
@@ -11,11 +12,26 @@ from splitseq.traintrack import (
     TrainTrack,
     _connected,
     feasible_point,
+    parse_track,
     regions,
     switch_coefficients,
 )
 
 RATIONALS = field_create([-1, 1], (Fraction(0), Fraction(2)))
+
+# fixtures/genus2_cycle.track is the lift of the RRL measure by these sheets
+GENUS2_PERMS = {"a": (0, 1, 2), "b": (0, 2, 1), "c": (1, 0, 2)}
+
+
+def torus_word_state(word: str) -> tuple[TrainTrack, Measure]:
+    """The torus fixture with the Perron-Frobenius measure of a product of
+    R = [[1, 1], [0, 1]] and L = [[1, 0], [1, 1]]."""
+    M = ((1, 0), (0, 1))
+    for ch in word:
+        M = _mat_mul(M, ((1, 1), (0, 1)) if ch == "R" else ((1, 0), (1, 1)))
+    field, v = pf_eigendata(M)
+    t, _ = parse_track(fixture_text("torus_anosov.track"))
+    return t, Measure.of(field, {"a": v[0], "b": v[1], "c": v[0] + v[1]})
 
 
 def build_track(branches, switches, marks=()) -> TrainTrack:

@@ -90,7 +90,13 @@ def r_of_psi(M) -> int:
 
 
 def power_positive_K(M) -> int:
-    """Least K with M^K (and then every higher power) entrywise positive."""
+    """Least K with M^K (and then every higher power) entrywise positive.
+
+    Documented limitation: on the punctured torus, the cycle of a word
+    whose cyclic runs of R and of L all have even length (a word in R^2
+    and L^2, such as RRLL) has a cycle matrix with no positive power, so
+    NotPrimitive is raised although the block acting on the measure is
+    positive.  Whether the paper's K may be taken on that block is open."""
     ent = _square_entries(M)
     K = _is_primitive(ent)
     if not K:
@@ -159,7 +165,7 @@ def _period_cusp_data(cycle: AgolCycle):
 
 
 def _iterate_cusp_data(cycle: AgolCycle, k: int):
-    """Cusp data for the k-fold map: permutation and per-cusp path counts."""
+    """Cusp data for the k-fold map: permutation, per-cusp path counts and M^k."""
     sigma1, gamma1 = _period_cusp_data(cycle)
     M = cycle.cycle_matrix.entries
     n = len(M)
@@ -179,16 +185,13 @@ def _iterate_cusp_data(cycle: AgolCycle, k: int):
             nxt_gamma[c] = tuple(p + q for p, q in zip(pushed, gamma[sigma1[c]]))
         sigma, gamma = nxt_sigma, nxt_gamma
         power = _mat_mul(power, M)
-    return sigma, gamma
+    return sigma, gamma, power
 
 
 def _cycle_transport(cycle: AgolCycle):
     """K, M^K and the K-fold cusp data, with K searched for once."""
     K = power_positive_K(cycle.cycle_matrix)
-    mk = ent = cycle.cycle_matrix.entries
-    for _ in range(K - 1):
-        mk = _mat_mul(mk, ent)
-    sigma, gamma = _iterate_cusp_data(cycle, K)
+    sigma, gamma, mk = _iterate_cusp_data(cycle, K)
     return K, mk, sigma, gamma
 
 

@@ -6,11 +6,11 @@ carried by the old one and the elementary incidence matrix transports the
 new measure back: m_pre = elem * m_post, coordinatewise in Q(lambda).
 `split_surgery` is the surgery alone, for a case chosen without a measure.
 
-A puncture mark names a switch whose cusp's region is punctured.  A left or
-right split trades the cusps of the split branch's end switches, so their
-marks trade.  A central split merges them into one switch with both cusps;
-a mark on either end moves to a switch whose every cusp lies in that cusp's
-region, and AmbiguousMark is raised when no switch does.
+A puncture mark names a cusp (`CuspRef`) whose region is punctured, and it
+moves with its cusp corner on every split.  A left or right split trades
+the cusps of the split branch's end switches, so their marks trade.  A
+central split merges them into one switch that keeps both cusp corners, so
+each mark moves to its corner there.
 
 Iterating maximal splits on a positive measure detects the eventual
 periodicity (preperiod n, period m, a ribbon isomorphism, and a stretch
@@ -29,13 +29,13 @@ from typing import Optional
 from .numberfield import NFElement, _mat_mul, nf_const, nf_sign
 from .traintrack import (
     BranchEnd,
+    CuspRef,
     FieldMismatch,
     Measure,
     Switch,
     TrackIso,
     TrainTrack,
     check_measure,
-    regions,
     serialize_track,
     track_isomorphisms,
 )
@@ -63,10 +63,6 @@ class NoCycleWithinBudget(RuntimeError):
 
 class ChainMismatch(ValueError):
     """Carrying matrices do not compose along the track chain."""
-
-
-class AmbiguousMark(ValueError):
-    """After a central split, no switch name places a puncture mark alone."""
 
 
 class SplitCase(Enum):
@@ -188,31 +184,9 @@ def large_branches(t: TrainTrack) -> tuple[str, ...]:
 # puncture marks
 
 
-def _swap_marks(t: TrainTrack, u: str, v: str) -> tuple[str, ...]:
-    # a left or right split, and the fold that undoes it, trades the cusps
-    # of the two end switches and keeps every other corner
-    swap = {u: v, v: u}
-    return tuple(swap.get(name, name) for name in t.puncture_marks)
-
-
-def _central_marks(t: TrainTrack, branches, switches, kept: dict[str, BranchEnd]) -> tuple[str, ...]:
-    """Marks after a central split; `kept` maps each end switch to the
-    arrival end of its cusp corner, which the merged switch keeps."""
-    if not kept.keys() & set(t.puncture_marks):
-        return t.puncture_marks
-    regs = regions(TrainTrack(branches, switches, t.genus))
-    total = {sw.name: len(sw.cusp_corners()) for sw in switches}
-    marks = []
-    for name in t.puncture_marks:
-        if name in kept:
-            cusps = next(r for r in regs if kept[name] in r.boundary).cusps
-            here = [ref.switch for ref in cusps]
-            whole = [s for s in here if here.count(s) == total[s]]
-            if not whole:
-                raise AmbiguousMark(f"no switch names the region of the cusp of {name} alone")
-            name = min(whole)
-        marks.append(name)
-    return tuple(marks)
+def _move_marks(t: TrainTrack, moved: dict[CuspRef, CuspRef]) -> tuple[CuspRef, ...]:
+    # each mark goes where its cusp corner goes; every other corner stays
+    return tuple(moved.get(c, c) for c in t.puncture_marks)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +265,8 @@ def split_surgery(t: TrainTrack, branch: str, case: SplitCase) -> tuple[TrainTra
 
     Left and right splits rewire the two end switches, trading their cusps
     and marks, and keep every branch.  A central split deletes the branch
-    and merges its end switches into the end-0 one, which keeps both cusps;
-    a mark on either moves as the module docstring says."""
+    and merges its end switches into the end-0 one, which keeps both cusp
+    corners and the marks on them."""
     if not is_large_branch(t, branch):
         raise NotLargeBranch(f"branch {branch!r} is not a large branch")
     e0, e1 = BranchEnd(branch, 0), BranchEnd(branch, 1)
@@ -300,9 +274,13 @@ def split_surgery(t: TrainTrack, branch: str, case: SplitCase) -> tuple[TrainTra
     P, Q = u.small_left, u.small_right
     R, T = v.small_left, v.small_right
     branches = t.branches
+    cu, cv = CuspRef(u.name, 0), CuspRef(v.name, 0)
+    moved = {cu: cv, cv: cu}
     if case is SplitCase.CENTRAL:
         branches = tuple(b for b in branches if b != branch)
         new = [Switch(u.name, ((T, R), (Q, P)))]
+        corners = new[0].cusp_corners()
+        moved = {cu: CuspRef(u.name, corners.index((Q, P))), cv: CuspRef(u.name, corners.index((T, R)))}
         row_ends = [R, T]
     elif case is SplitCase.LEFT:
         new = [Switch.trivalent(u.name, P, e0, T), Switch.trivalent(v.name, R, e1, Q)]
@@ -311,11 +289,7 @@ def split_surgery(t: TrainTrack, branch: str, case: SplitCase) -> tuple[TrainTra
         new = [Switch.trivalent(u.name, Q, R, e0), Switch.trivalent(v.name, T, P, e1)]
         row_ends = [e0, P, R]
     switches = tuple(_replace_switches(t, {u.name, v.name}, new))
-    if case is SplitCase.CENTRAL:
-        marks = _central_marks(t, branches, switches, {u.name: Q, v.name: T})
-    else:
-        marks = _swap_marks(t, u.name, v.name)
-    t2 = TrainTrack(branches, switches, t.genus, marks)
+    t2 = TrainTrack(branches, switches, t.genus, _move_marks(t, moved))
     return t2, _elem_with_row(t, branches, branch, row_ends, track_id(t), track_id(t2))
 
 
@@ -344,7 +318,8 @@ def fold(t2: TrainTrack, m2: Measure, event: SplitEvent) -> tuple[TrainTrack, Me
     u = Switch.trivalent(u2.name, f0, P, Q)
     v = Switch.trivalent(v2.name, f1, R, T)
     switches = _replace_switches(t2, {u2.name, v2.name}, [u, v])
-    t = TrainTrack(t2.branches, tuple(switches), t2.genus, _swap_marks(t2, u2.name, v2.name))
+    cu, cv = CuspRef(u2.name, 0), CuspRef(v2.name, 0)
+    t = TrainTrack(t2.branches, tuple(switches), t2.genus, _move_marks(t2, {cu: cv, cv: cu}))
     weights = m2.as_dict()
     weights[f] = m2.weight(f) + m2.weight(T.branch) + m2.weight(Q.branch) \
         if event.case is SplitCase.LEFT \

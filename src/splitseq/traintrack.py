@@ -135,8 +135,11 @@ class Switch:
 
 
 class CuspRef(NamedTuple):
+    """One cusp: a switch and a position in its cusp_corners(), which a
+    split keeps or moves together with the corner."""
+
     switch: str
-    index: int  # position within the switch's cusp_corners()
+    index: int
 
 
 @dataclass(frozen=True)
@@ -144,18 +147,18 @@ class TrainTrack:
     branches: tuple[str, ...]
     switches: tuple[Switch, ...]
     genus: int
-    puncture_marks: tuple[str, ...] = ()  # switch names; the cusp's region is punctured
+    puncture_marks: tuple[CuspRef, ...] = ()  # each names a cusp whose region is punctured
 
     def __post_init__(self):
         seen: dict[BranchEnd, str] = {}
         declared = set(self.branches)
         if len(declared) != len(self.branches):
             raise ParseError(f"branch {max(self.branches, key=self.branches.count)} is declared twice")
-        names: set[str] = set()
+        cusps: dict[str, int] = {}  # switch name -> number of cusp corners
         for sw in self.switches:
-            if sw.name in names:
+            if sw.name in cusps:
                 raise ParseError(f"switch {sw.name} is declared twice")
-            names.add(sw.name)
+            cusps[sw.name] = sw.valence - 2
             for e in sw.ccw():
                 if e.branch not in declared:
                     raise ParseError(f"switch {sw.name} uses undeclared branch {e.branch}")
@@ -166,6 +169,9 @@ class TrainTrack:
             for end in (0, 1):
                 if BranchEnd(b, end) not in seen:
                     raise DanglingBranchEnd(f"branch end {b}.{end} is not attached")
+        for name, index in self.puncture_marks:
+            if not 0 <= index < cusps.get(name, 0):
+                raise ParseError(f"puncture mark names no cusp: switch {name}, index {index}")
 
     # -- basic counts -----------------------------------------------------
     @property
@@ -290,6 +296,7 @@ def _trace_regions(t: TrainTrack) -> tuple[Region, ...]:
         for i, corner in enumerate(sw.cusp_corners()):
             cusp_lookup[corner] = CuspRef(sw.name, i)
 
+    marks = set(t.puncture_marks)
     all_ends = [BranchEnd(b, e) for b in t.branches for e in (0, 1)]
     seen: set[BranchEnd] = set()
     out = []
@@ -308,22 +315,8 @@ def _trace_regions(t: TrainTrack) -> tuple[Region, ...]:
             if h == start:
                 break
         b, c = _rotate_min(tuple(boundary), tuple(corners))
-        out.append((b, c))
-
-    marks = list(t.puncture_marks)
-    built = []
-    for b, c in out:
-        cusp_switches = [ref.switch for ref in c if ref is not None]
-        punct = False
-        for name in list(marks):
-            if name in cusp_switches:
-                marks.remove(name)
-                punct = True
-                break
-        built.append(Region(b, c, punct))
-    # any left-over marks name switches whose cusp region already got one;
-    # validate() reports this, here we drop them silently
-    return tuple(sorted(built, key=lambda r: r.boundary))
+        out.append(Region(b, c, not marks.isdisjoint(c)))
+    return tuple(sorted(out, key=lambda r: r.boundary))
 
 
 def derived_genus(t: TrainTrack) -> int:
@@ -338,7 +331,7 @@ def cover_track(t: TrainTrack, m: Measure, perms: dict[str, Sequence[int]]) -> t
     """The connected cover in which branch ``x{i}`` runs from switch copies
     ``w{i}`` at its end 0 to ``w{perms[x][i]}`` at its end 1, with x's weight.
     A lifted region is punctured when the region below it is, and it is
-    marked by the switch of its first cusp."""
+    marked by its first cusp."""
     d = len(next(iter(perms.values()), ()))
     if set(perms) != set(t.branches) or any(sorted(p) != list(range(d)) for p in perms.values()):
         raise ValueError(f"need one permutation of range({d}) per branch")
@@ -356,7 +349,7 @@ def cover_track(t: TrainTrack, m: Measure, perms: dict[str, Sequence[int]]) -> t
     if not _connected(lifted):
         raise ValueError("the cover is not connected")
     over = {lift(h, j) for r in regions(t) if r.punctured for h in r.boundary for j in range(d)}
-    marks = tuple(r.cusps[0].switch for r in regions(lifted) if r.boundary[0] in over)
+    marks = tuple(r.cusps[0] for r in regions(lifted) if r.boundary[0] in over)
     cover = TrainTrack(lifted.branches, switches, derived_genus(lifted), marks)
     return cover, Measure.of(m.field, {x: m.weight(b) for x, b in base.items()})
 
@@ -571,7 +564,9 @@ _GENERAL_SWITCH_RE = re.compile(
 )
 _MEASURE_RE = re.compile(r"^measure\s+(?P<branch>\S+)\s*=\s*\((?P<coeffs>[^)]*)\)\s*$")
 _HEADER_RE = re.compile(r"^surface\s+genus\s*=\s*(?P<g>\d+)\s+punctures\s*=\s*(?P<p>\d+)\s*$")
-_PUNCTURE_RE = re.compile(r"^puncture\s+in\s+region\s+containing\s+cusp\s+(?P<switch>\S+)\s*$")
+_PUNCTURE_RE = re.compile(
+    r"^puncture\s+in\s+region\s+containing\s+cusp\s+(?P<switch>\S+)(?:\s+(?P<index>\d+))?\s*$"
+)
 
 
 def _parse_end(token: str, lineno: int) -> BranchEnd:
@@ -587,7 +582,7 @@ def parse_track(text: str) -> tuple[TrainTrack, Optional[Measure]]:
     switches: list[Switch] = []
     fld: Optional[NumberField] = None
     raw_measure: dict[str, NFElement] = {}
-    marks: list[str] = []
+    marks: list[CuspRef] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -642,7 +637,7 @@ def parse_track(text: str) -> tuple[TrainTrack, Optional[Measure]]:
             raw_measure[m.group("branch")] = nf_element(fld, vec)
             continue
         if m := _PUNCTURE_RE.match(line):
-            marks.append(m.group("switch"))
+            marks.append(CuspRef(m.group("switch"), int(m.group("index") or 0)))
             continue
         raise ParseError(f"unrecognized line: {line!r}", lineno)
 
@@ -685,8 +680,8 @@ def serialize_track(t: TrainTrack, m: Optional[Measure] = None) -> str:
         for b in t.branches:
             vec = ", ".join(str(c) for c in m.weight(b).coeffs)
             lines.append(f"measure {b} = ({vec})")
-    for name in t.puncture_marks:
-        lines.append(f"puncture in region containing cusp {name}")
+    for name, index in t.puncture_marks:
+        lines.append(f"puncture in region containing cusp {name}" + (f" {index}" if index else ""))
     return "\n".join(lines) + "\n"
 
 

@@ -7,7 +7,9 @@ M^3 = [[9,4,4],[4,1,4],[12,4,9]] is positive with row sums (17, 9, 25).
 """
 
 import dataclasses
+import random
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -59,7 +61,7 @@ from extension_oracle import (
     polygon_triangulations,
     region_cusps,
 )
-from trackgen import RATIONALS
+from trackgen import RATIONALS, torus_word_state
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -160,9 +162,10 @@ def test_torus_cusp_transport_single_period():
 
 def test_torus_cusp_transport_three_fold():
     # gamma(3) = (I + M + M^2) (1,0,1) with sigma the identity throughout
-    sigma, gamma = _iterate_cusp_data(torus_cycle(), 3)
+    sigma, gamma, power = _iterate_cusp_data(torus_cycle(), 3)
     assert sigma == {"u": "u", "v": "v"}
     assert gamma == {"u": (8, 4, 12), "v": (8, 4, 12)}
+    assert power == TORUS_M3
 
 
 def test_torus_extension_is_bare_cube():
@@ -189,6 +192,32 @@ def test_torus_bound_report():
         M_psi=m_of_psi(1, 3, 51), dd=dd_bound(1, 2, m_of_psi(1, 3, 51)),
         g=1, s=2, l=3,
     )
+
+
+def even_runs(word: str) -> bool:
+    """Every cyclic run of R and of L in `word` has even length."""
+    k = next(i for i in range(len(word)) if word[i] != word[i - 1])
+    return all(len(list(run)) % 2 == 0 for _, run in groupby(word[k:] + word[:k]))
+
+
+def test_not_primitive_exactly_on_even_runs():
+    # the documented limitation of power_positive_K on the torus: the
+    # cycle matrix of a cyclic word in R^2 and L^2 has no positive power
+    rng = random.Random(5)
+    refused = 0
+    for _ in range(150):
+        word = ""
+        while "R" not in word or "L" not in word:
+            word = "".join(rng.choice("RL") for _ in range(rng.randint(2, 12)))
+        cycle = find_agol_cycle(*torus_word_state(word), 200)
+        if even_runs(word):
+            with pytest.raises(NotPrimitive):
+                bound_report(cycle)
+            refused += 1
+        else:
+            bound_report(cycle)
+    assert all(map(even_runs, ("RRLL", "LRRL", "RRRLLR"))) and not even_runs("RRLLL")
+    assert refused == 13
 
 
 def test_genus2_lift_bound_report():

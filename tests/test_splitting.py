@@ -18,7 +18,6 @@ from splitseq.numberfield import (
     nf_sign,
 )
 from splitseq.splitting import (
-    AmbiguousMark,
     CarryingMatrix,
     ChainMismatch,
     InvalidMeasure,
@@ -41,6 +40,7 @@ from splitseq.splitting import (
 )
 from splitseq.traintrack import (
     BranchEnd,
+    CuspRef,
     Measure,
     Switch,
     TrainTrack,
@@ -57,6 +57,7 @@ from trackgen import (
     RATIONALS,
     build_track,
     positive_measure,
+    random_marked_track,
     random_measure,
     random_track,
     rename_track,
@@ -220,17 +221,6 @@ def with_marks(t, marks):
     return TrainTrack(t.branches, t.switches, t.genus, tuple(marks))
 
 
-def random_marked_track(rng):
-    """A random trivalent track with a large branch and 1-3 punctured regions."""
-    while True:
-        t = random_track(rng.choice([2, 4, 6, 8]), rng)
-        if t is None or not large_branches(t):
-            continue
-        regs = [r for r in regions(t) if r.cusps]
-        picked = rng.sample(regs, rng.randint(1, min(3, len(regs))))
-        return with_marks(t, (rng.choice(r.cusps).switch for r in picked))
-
-
 def test_marks_move_into_the_traced_region():
     rng = random.Random(17)
     seen = Counter()
@@ -238,46 +228,46 @@ def test_marks_move_into_the_traced_region():
         t = random_marked_track(rng)
         b = rng.choice(large_branches(t))
         for case in SplitCase:
-            try:
-                t2, _ = split_surgery(t, b, case)
-            except AmbiguousMark:
-                assert case is SplitCase.CENTRAL
-                seen["ambiguous"] += 1
-                continue
+            t2, _ = split_surgery(t, b, case)
             assert placed_punctures(t2) == traced_punctures(t, t2, b)
             seen[case] += 1
-    assert set(seen) == {*SplitCase, "ambiguous"}
+    assert seen == {case: 300 for case in SplitCase}
 
 
 def test_torus_central_split_keeps_its_mark():
     t, _ = torus()
     t2, _, _, ev = split(t, rational_measure(t, {"a": 1, "b": 1, "c": 2}), "c")
     assert ev.case is SplitCase.CENTRAL
-    assert t2.puncture_marks == ("u",)
+    # u's cusp is the second corner of the merged 4-valent switch
+    assert t2.puncture_marks == (CuspRef("u", 1),)
     assert [r.punctured for r in regions(t2)] == [True]
 
 
-def test_central_split_moves_mark_to_a_whole_switch():
-    t = with_marks(some_track(0, sizes=(4,)), ["s1"])
+def test_central_split_keeps_mark_on_the_merged_switch():
+    # s1 is the end-1 switch of b2, so its cusp moves onto s3, the merged one
+    t = with_marks(some_track(0, sizes=(4,)), [CuspRef("s1", 0)])
     t2, _ = split_surgery(t, "b2", SplitCase.CENTRAL)
-    assert t2.puncture_marks == ("s0",)
+    assert [ref.switch for ref in t2.puncture_marks] == ["s3"]
     assert placed_punctures(t2) == traced_punctures(t, t2, "b2")
 
 
-def test_central_split_refuses_a_mark_no_switch_places():
-    # the region holds only the merged switch's cusp, whose other cusp lies
-    # elsewhere, so no switch name puts the puncture there
-    t = with_marks(some_track(3, sizes=(4,)), ["s3"])
-    with pytest.raises(AmbiguousMark):
-        split_surgery(t, "b1", SplitCase.CENTRAL)
+def test_central_split_places_a_mark_no_switch_name_could():
+    # the region holds only one of the merged switch's two cusps; a mark
+    # naming the switch alone could not say which region is punctured
+    t = with_marks(some_track(3, sizes=(4,)), [CuspRef("s3", 0)])
+    t2, _ = split_surgery(t, "b1", SplitCase.CENTRAL)
+    assert t2.puncture_marks == (CuspRef("s3", 1),)
+    assert placed_punctures(t2) == traced_punctures(t, t2, "b1")
+    (region,) = (r for r in regions(t2) if r.punctured)
+    assert [ref.switch for ref in region.cusps].count("s3") == 1
 
 
 def test_fold_restores_torus_marks():
     t, m = torus()
     t1, m1, _, ev = split(t, m, "c")
-    assert t1.puncture_marks == ("v",)
+    assert t1.puncture_marks == (CuspRef("v", 0),)
     tb, mb = fold(t1, m1, ev)
-    assert tb.puncture_marks == t.puncture_marks == ("u",)
+    assert tb.puncture_marks == t.puncture_marks == (CuspRef("u", 0),)
     assert (tb, mb) == (t, m)
 
 

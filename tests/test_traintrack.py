@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_text
+from conftest import FIXTURES, fixture_text
 from extension_oracle import catalan, extensions, polygon_triangulations
 from splitseq import traintrack
 from splitseq.bounds import c_of_psi
 from splitseq.numberfield import field_create, nf_const, nf_element, pf_eigendata
-from splitseq.splitting import find_agol_cycle
+from splitseq.splitting import SplitCase, find_agol_cycle, split_surgery
 from splitseq.traintrack import (
     BranchEnd,
+    CuspRef,
     DanglingBranchEnd,
     FieldMismatch,
     Measure,
@@ -253,7 +254,7 @@ def test_genus2_fixture_is_the_rrl_lift():
     assert serialize_track(t, m) == fixture_text("genus2_cycle.track")
     rep = validate(t, m)
     assert rep.all_ok and (rep.genus, rep.kappa) == (2, 1)
-    assert t.puncture_marks == ("v0",)
+    assert t.puncture_marks == (CuspRef("v0", 0),)
 
 
 def test_cover_track_refusals():
@@ -267,16 +268,35 @@ def test_cover_track_refusals():
         cover_track(t, m, {x: (0, 1) for x in t.branches})
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["torus_anosov.track", "theta_closed.track", "genus2_hex.track", "genus2_trigons.track"],
-)
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.track")))
 def test_serialize_round_trip(name):
-    t, m = parse_track(fixture_text(name))
-    t2, m2 = parse_track(serialize_track(t, m))
-    assert canonical_form(t)[0] == canonical_form(t2)[0]
-    assert t2.genus == t.genus and t2.puncture_marks == t.puncture_marks
-    assert m2 == m
+    # the writer reproduces every fixture once its comment lines are dropped
+    text = "".join(ln for ln in fixture_text(name).splitlines(True) if not ln.startswith("#"))
+    assert serialize_track(*parse_track(text)) == text
+
+
+def test_mark_on_a_second_cusp_survives_the_file():
+    # a central split of the torus leaves u's cusp at index 1 of the
+    # merged 4-valent switch; the file line carries the index
+    t, _ = torus()
+    t2, _ = split_surgery(t, "c", SplitCase.CENTRAL)
+    assert t2.puncture_marks == (CuspRef("u", 1),)
+    text = serialize_track(t2)
+    assert "puncture in region containing cusp u 1\n" in text
+    t3, _ = parse_track(text)
+    assert t3 == t2 and regions(t3) == regions(t2)
+
+
+@pytest.mark.parametrize("line, ref", [("cusp w", CuspRef("w", 0)), ("cusp u 1", CuspRef("u", 1))])
+def test_mark_naming_no_cusp_is_refused(line, ref):
+    # an unknown switch, then an index past u's one cusp
+    text = TORUS.replace("cusp u\n", line + "\n")
+    assert text != TORUS
+    with pytest.raises(ParseError, match="names no cusp"):
+        parse_track(text)
+    t, _ = torus()
+    with pytest.raises(ParseError, match="names no cusp"):
+        TrainTrack(t.branches, t.switches, t.genus, (ref,))
 
 
 def test_torus_automorphisms():

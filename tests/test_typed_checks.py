@@ -5,6 +5,7 @@ stops guarding anything.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import splitseq
@@ -21,3 +22,35 @@ def test_no_bare_asserts_in_the_package():
                 found.append(f"{path.name}:{node.lineno}")
     assert {"numberfield.py", "splitting.py", "arcdiagram.py"} <= set(checked)
     assert found == []
+
+
+BUILTIN_EXCEPTIONS = {
+    name for name, obj in vars(builtins).items()
+    if isinstance(obj, type) and issubclass(obj, BaseException)
+}
+
+
+def _name(node) -> str:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+
+
+def _exception_classes_and_raises():
+    """Exception classes defined in the package, and every name raised."""
+    classes: dict[str, str] = {}
+    raised: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                if any(_name(b) in BUILTIN_EXCEPTIONS or _name(b) in classes for b in node.bases):
+                    classes[node.name] = f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                raised.add(_name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc))
+    return classes, raised
+
+
+def test_every_exception_class_is_raised():
+    # a refusal type that nothing raises is dead API: tests can still
+    # import it and expect it, which hides that its check is gone
+    classes, raised = _exception_classes_and_raises()
+    assert len(classes) >= 30
+    assert sorted(f"{name} ({where})" for name, where in classes.items() if name not in raised) == []

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 from conftest import fixture_text
 from splitseq.numberfield import _mat_mul, field_create, nf_element, pf_eigendata
+from splitseq.splitting import large_branches
 from splitseq.traintrack import (
     BranchEnd,
+    CuspRef,
     Measure,
     Switch,
     TrainTrack,
@@ -137,19 +139,41 @@ def some_track(seed: int, sizes=(2, 4, 6, 8)) -> TrainTrack:
             return t
 
 
+def random_marked_track(rng: random.Random) -> TrainTrack:
+    """A random trivalent track with a large branch and 1-3 punctured
+    regions, each marked by one of its cusps."""
+    while True:
+        t = random_track(rng.choice([2, 4, 6, 8]), rng)
+        if t is None or not large_branches(t):
+            continue
+        regs = [r for r in regions(t) if r.cusps]
+        picked = rng.sample(regs, rng.randint(1, min(3, len(regs))))
+        marks = tuple(rng.choice(r.cusps) for r in picked)
+        return TrainTrack(t.branches, t.switches, t.genus, marks)
+
+
 def rename_track(t: TrainTrack, seed: int) -> TrainTrack:
-    """Shuffle branch/switch names and list order; same ribbon graph."""
+    """Shuffle branch/switch names and list order; same ribbon graph and
+    marked cusps."""
     rng = random.Random(seed)
     bperm = list(range(t.l))
     rng.shuffle(bperm)
     bmap = {b: f"r{j}" for b, j in zip(t.branches, bperm)}
-    switches = []
-    for i, sw in enumerate(t.switches):
-        sides = tuple(
-            tuple(BranchEnd(bmap[e.branch], e.end) for e in side) for side in sw.sides
-        )
-        switches.append(Switch(f"w{i}", sides))
+
+    def rename(e: BranchEnd) -> BranchEnd:
+        return BranchEnd(bmap[e.branch], e.end)
+
+    renamed = {
+        sw.name: Switch(f"w{i}", tuple(tuple(map(rename, side)) for side in sw.sides))
+        for i, sw in enumerate(t.switches)
+    }
+    # renaming branches can reorder a switch's sides, and so its corners
+    marks = []
+    for name, index in t.puncture_marks:
+        a, b = t.switch_named(name).cusp_corners()[index]
+        new = renamed[name]
+        marks.append(CuspRef(new.name, new.cusp_corners().index((rename(a), rename(b)))))
+    switches = list(renamed.values())
     rng.shuffle(switches)
-    marks = tuple(f"w{i}" for i, sw in enumerate(t.switches) if sw.name in t.puncture_marks)
     branches = sorted(bmap.values())
-    return TrainTrack(tuple(branches), tuple(switches), t.genus, marks)
+    return TrainTrack(tuple(branches), tuple(switches), t.genus, tuple(marks))

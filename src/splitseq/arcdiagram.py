@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .numberfield import _det_int, _mat_mul
+from .numberfield import _det_int, _identity, _mat_mul
 from .splitting import AgolCycle, SplitCase, SplitEvent, split_case
 from .traintrack import BranchEnd, TrainTrack, TrackIso, regions
 
@@ -492,10 +492,6 @@ class ArcslideSequence:
     slides: tuple[Arcslide, ...]
     end: ArcDiagram
     renames: tuple[tuple[int, tuple[tuple[str, str], ...]], ...] = ()
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _chain_action(seq: ArcslideSequence) -> tuple[tuple[int, ...], ...]:

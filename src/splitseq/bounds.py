@@ -16,7 +16,7 @@ cusp-polygon triangulations maximises on its own.
 from dataclasses import dataclass
 from typing import Optional
 
-from .numberfield import _is_primitive, _mat_mul
+from .numberfield import _identity, _is_primitive, _mat_mul
 from .splitting import AgolCycle, CarryingMatrix, SplitCase, incidence_compose, split_case
 from .traintrack import BranchEnd, NotFilling, TrainTrack, _region_conditions, regions
 
@@ -172,7 +172,7 @@ def _iterate_cusp_data(cycle: AgolCycle, k: int):
     names = list(sigma1)
     sigma = {c: c for c in names}
     gamma = {c: tuple(0 for _ in range(n)) for c in names}
-    power = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    power = _identity(n)
     for _ in range(k):
         # one more application underneath; its path, written upstairs, is
         # the current power of M applied to the single-period path

@@ -15,6 +15,8 @@ integers over the endpoints' common denominator; when that enclosure
 straddles 0, the element's Sturm chain decides instead, and the interval
 is halved until one of the two settles it.  Each field keeps the tightest
 isolating interval any query has found, and the next query starts there.
+Perron-Frobenius eigendata take one isolation of the largest real root of
+the characteristic polynomial and one Cayley-Hamilton column (`pf_eigendata`).
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ class DivisionByZero(ZeroDivisionError):
 
 
 class NotPerronFrobenius(ValueError):
-    """No power of the matrix up to dimension**2 is entrywise positive."""
+    """No Perron-Frobenius eigendata: no power up to Wielandt's (n-1)**2 + 1 is
+    entrywise positive, or (never for a primitive matrix) the characteristic
+    polynomial has no real root or the eigenvector found is not positive."""
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +328,11 @@ def _mul_matrix(f: NumberField, num: Sequence[int]) -> list[list[int]]:
     return [list(row) for row in zip(*cols)]
 
 
+def _identity(n: int) -> list[list[int]]:
+    """The n x n integer identity, as fresh row lists the caller may mutate."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     """Integer matrix product a * b, as a tuple of row tuples."""
     bt = list(zip(*b))
@@ -540,16 +549,6 @@ def _largest_root_interval(p: tuple[int, ...]) -> tuple[Fraction, Fraction] | No
     return lo, hi
 
 
-def _root_greater(p1, iv1, p2, iv2) -> bool:
-    """Compare distinct real roots of monic irreducible integer polynomials."""
-    f1, f2 = NumberField(p1, iv1), NumberField(p2, iv2)
-    while True:
-        (a1, b1), (a2, b2) = f1.root_interval, f2.root_interval
-        if a1 > b2 or a2 > b1:
-            return a1 > b2
-        f1, f2 = f1.refine(), f2.refine()
-
-
 def nf_minpoly(x: NFElement) -> tuple[tuple[Fraction, ...], tuple[Fraction, Fraction]]:
     """Monic minimal polynomial of x over Q plus an isolating interval.
 
@@ -586,62 +585,44 @@ def nf_minpoly(x: NFElement) -> tuple[tuple[Fraction, ...], tuple[Fraction, Frac
 def pf_eigendata(M: Sequence[Sequence[int]]):
     """Field of the dominant eigenvalue plus an exact positive eigenvector.
 
-    The eigenvector is normalized so its first entry is 1; M v = lambda v
-    holds coordinatewise in Q(lambda).
+    lambda is the largest real root of the characteristic polynomial chi,
+    isolated once; its minimal polynomial is the irreducible factor of chi
+    that changes sign across that interval (factors have simple roots, and
+    the endpoints are no roots of chi).  With chi(x) = (x - lambda) r(x),
+    Cayley-Hamilton gives (M - lambda I) r(M) = 0, so r(M) e_0 is an
+    eigenvector: chi'(lambda) times the Perron projection of e_0, positive
+    for a primitive M.  It is normalized so its first entry is 1; M v =
+    lambda v holds coordinatewise in Q(lambda).
     """
     n = len(M)
     if n == 0 or any(len(row) != n for row in M):
         raise ValueError("matrix must be square and nonempty")
     if any(int(x) != x or x < 0 for row in M for x in row):
         raise ValueError("matrix entries must be nonnegative integers")
+    M = [[int(x) for x in row] for row in M]
     if not _is_primitive(M):
         raise NotPerronFrobenius("no power up to dimension**2 is positive")
 
-    factors = sorted(set(_irreducible_factors(_charpoly(M))))
-    best = None
-    for fac in factors:
-        iv = _largest_root_interval(fac)
-        if iv is None:
-            continue
-        if best is None or _root_greater(fac, iv, best[0], best[1]):
-            best = (fac, iv)
-    if best is None:  # Perron-Frobenius: a primitive matrix has a real dominant eigenvalue
+    chi = _charpoly(M)
+    interval = _largest_root_interval(chi)
+    if interval is None:  # Perron-Frobenius: a primitive matrix has a real dominant eigenvalue
         raise NotPerronFrobenius("characteristic polynomial has no real root")
-    minpoly, interval = best
+    lo, hi = interval
+    minpoly = next(
+        p for p in _irreducible_factors(chi) if _poly_eval(p, lo) * _poly_eval(p, hi) < 0
+    )
     field = field_create(list(minpoly), interval)
 
-    lam = nf_gen(field)
-    zero, one = nf_const(field, 0), nf_const(field, 1)
-    # kernel of (M - lambda I) by Gaussian elimination over Q(lambda)
-    A = [
-        [nf_const(field, M[i][j]) - (lam if i == j else zero) for j in range(n)]
-        for i in range(n)
-    ]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        pr = next((r for r in range(row, n) if not A[r][col].is_zero()), None)
-        if pr is None:
-            continue
-        A[row], A[pr] = A[pr], A[row]
-        inv = one / A[row][col]
-        A[row] = [inv * x for x in A[row]]
-        for r in range(n):
-            if r != row and not A[r][col].is_zero():
-                c = A[r][col]
-                A[r] = [x - c * y for x, y in zip(A[r], A[row])]
-        pivots.append((row, col))
-        row += 1
-    free = [c for c in range(n) if c not in {c0 for _, c0 in pivots}]
-    if len(free) != 1:
-        raise NotPerronFrobenius("dominant eigenvalue is not simple")
-    fc = free[0]
-    v = [zero] * n
-    v[fc] = one
-    for r, c in pivots:
-        v[c] = -A[r][fc]
-    inv0 = one / v[0]
-    v = [inv0 * x for x in v]
+    # synthetic division r_{k-1} = lambda r_k + chi_k from r_n = 0, interleaved
+    # with Horner's v <- M v + r_{k-1} e_0 on the entries' integer coordinates
+    lam, rk = nf_gen(field), nf_const(field, 0)
+    v = ((0,) * field.degree,) * n
+    for c in reversed(chi[1:]):
+        rk = lam * rk + c
+        mv = _mat_mul(M, v)
+        v = (tuple(x + y for x, y in zip(mv[0], rk.num)),) + mv[1:]
+    v = [NFElement(field, row) for row in v]
     if any(nf_sign(x) != 1 for x in v):
         raise NotPerronFrobenius("eigenvector is not strictly positive")
-    return field, v
+    inv0 = 1 / v[0]
+    return field, [inv0 * x for x in v]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .numberfield import NFElement, _mat_mul, nf_const, nf_sign
+from .numberfield import NFElement, _identity, _mat_mul, nf_const, nf_sign
 from .traintrack import (
     BranchEnd,
     CuspRef,
@@ -102,8 +102,7 @@ class CarryingMatrix:
 
     @staticmethod
     def identity(branches: tuple[str, ...], track: str = "") -> "CarryingMatrix":
-        n = len(branches)
-        ent = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        ent = tuple(map(tuple, _identity(len(branches))))
         return CarryingMatrix(branches, branches, ent, track, track)
 
     @staticmethod
@@ -215,7 +214,7 @@ def _elem_with_row(t_pre, post_branches, branch, col_ends, tid_pre, tid_post):
         else:
             counts = {c: 0 for c in cols}
             for e in col_ends:
-                counts[e if isinstance(e, str) else e.branch] += 1
+                counts[e.branch] += 1
             ent.append(tuple(counts[c] for c in cols))
     return CarryingMatrix(rows, cols, tuple(ent), tid_pre, tid_post)
 

@@ -634,7 +634,10 @@ def parse_track(text: str) -> tuple[TrainTrack, Optional[Measure]]:
                 raise ParseError(
                     f"measure vector length {len(vec)} != field degree {fld.degree}", lineno
                 )
-            raw_measure[m.group("branch")] = nf_element(fld, vec)
+            name = m.group("branch")
+            if name in raw_measure:
+                raise ParseError(f"measure for branch {name} given twice", lineno)
+            raw_measure[name] = nf_element(fld, vec)
             continue
         if m := _PUNCTURE_RE.match(line):
             marks.append(CuspRef(m.group("switch"), int(m.group("index") or 0)))
@@ -653,6 +656,9 @@ def parse_track(text: str) -> tuple[TrainTrack, Optional[Measure]]:
         missing = set(branches) - set(raw_measure)
         if missing:
             raise ParseError(f"measure missing branches: {sorted(missing)}")
+        unknown = set(raw_measure) - set(branches)
+        if unknown:
+            raise ParseError(f"measure names undeclared branches: {sorted(unknown)}")
         measure = Measure.of(fld, raw_measure)  # a measure line needs the field first
     return track, measure
 

@@ -18,8 +18,9 @@ from hypothesis import strategies as st
 
 from splitseq import heegaard
 from splitseq.arcdiagram import SpecialMark
-from splitseq.bounds import DimensionMismatch, IncompatibleCoordinates, bound_report
+from splitseq.bounds import DimensionMismatch, IncompatibleCoordinates, NormalCurve, bound_report
 from splitseq.heegaard import (
+    ComponentWithoutSwitch,
     EmptyCurve,
     NotDisjoint,
     NotMinimal,
@@ -111,6 +112,7 @@ def test_pinned_completions(name, curve, raw, cut):
         ("torus_anosov", (3, 0, 1), IncompatibleCoordinates, "triangle inequality"),
         ("torus_anosov", (1, 0), DimensionMismatch, "coordinate"),
         ("torus_anosov", (0, 0, 0), EmptyCurve, "crosses no dual edge"),
+        ("torus_anosov", NormalCurve((2, 0, 2), 2), ComponentWithoutSwitch, "parallel copies"),
     ],
 )
 def test_pinned_refusals(name, curve, kind, message):

@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from splitseq import numberfield
@@ -226,10 +226,28 @@ def primitive_matrices(draw):
     return M
 
 
+# reducible characteristic polynomials, the second with a repeated factor:
+# matrix -> (minpoly, power-basis numerators of v); every den is 1
+TRIDIAGONAL = ((2, 1, 0), (1, 2, 1), (0, 1, 2))
+CIRCULANT = tuple(tuple((1, 1, 0, 0, 1)[(j - i) % 5] for j in range(5)) for i in range(5))
+PINNED_EIGENDATA = {
+    # (x - 2)(x^2 - 4x + 2); v = (1, lambda - 2, 1)
+    TRIDIAGONAL: ((2, -4, 1), ((1, 0), (-2, 1), (1, 0))),
+    # (x - 3)(x^2 - x - 1)^2; v is all ones
+    CIRCULANT: ((-3, 1), ((1,),) * 5),
+}
+
+
 @given(primitive_matrices())
+@example(TRIDIAGONAL)
+@example(CIRCULANT)
 @settings(max_examples=40, deadline=None)
 def test_pf_eigendata_exact_eigenvector(M):
     field, v = pf_eigendata(M)
+    pinned = PINNED_EIGENDATA.get(tuple(map(tuple, M)))
+    if pinned is not None:
+        assert (field.minpoly, tuple(x.num for x in v)) == pinned
+        assert all(x.den == 1 for x in v)
     lam = nf_gen(field)
     n = len(M)
     for i in range(n):

@@ -204,6 +204,18 @@ def test_parse_error_reports_line_number():
     assert e.value.line == 3
 
 
+def test_measure_on_an_undeclared_branch_is_refused():
+    with pytest.raises(ParseError, match="zzz"):
+        parse_track(TORUS + "measure zzz = (1, 0)\n")
+
+
+def test_second_measure_line_for_a_branch_is_refused():
+    text = TORUS + "measure b = (1, 0)\n"
+    with pytest.raises(ParseError, match="branch b given twice") as e:
+        parse_track(text)
+    assert e.value.line == len(text.splitlines())
+
+
 def test_measure_length_mismatch():
     text = TORUS.replace("measure a = (1, 0)", "measure a = (1, 0, 0)")
     with pytest.raises(ParseError):

@@ -10,19 +10,24 @@ from math import gcd
 
 import pytest
 import sympy
+import sympy_oracle
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from splitseq import numberfield
 from splitseq.numberfield import (
     DivisionByZero,
+    IntegerKernelError,
     NonMonic,
     NotIsolating,
     NotPerronFrobenius,
     NumberField,
+    _charpoly,
+    _divmod_unit,
     _invert,
+    _irreducible_factors,
     _largest_root_interval,
-    _poly_divmod,
+    _squarefree,
     field_create,
     nf_arith,
     nf_const,
@@ -380,23 +385,84 @@ def test_minpoly_interval_ignores_earlier_sign_queries():
     assert nf_minpoly(x) == cold
 
 
-# --- polynomial division and inversion
+# --- integer division and inversion
 
 small_fracs = st.builds(F, st.integers(-9, 9), st.integers(1, 5))
 
 
-@given(st.lists(small_fracs, max_size=7), st.lists(small_fracs, min_size=1, max_size=5))
+@given(
+    st.lists(st.integers(-9, 9), max_size=7),
+    st.lists(st.integers(-9, 9), max_size=4),
+    st.sampled_from((1, -1)),
+)
 @settings(max_examples=200, deadline=None)
-def test_poly_divmod_recombines(a, b):
-    b = b[:-1] + [b[-1] or F(1)]  # nonzero leading coefficient
-    q, r = _poly_divmod(a, b)
+def test_divmod_unit_recombines(a, b, lead):
+    b = b + [lead]  # leading coefficient +-1, so the quotient is integral
+    q, r = _divmod_unit(a, b)
     assert len(r) < len(b) and (not r or r[-1] != 0)
     n = max(len(a), len(q) + len(b))
-    got = list(r) + [F(0)] * (n - len(r))  # q * b + r
+    got = list(r) + [0] * (n - len(r))  # q * b + r
     for i, x in enumerate(q):
         for j, y in enumerate(b):
             got[i + j] += x * y
-    assert got == list(a) + [F(0)] * (n - len(a))
+    assert got == list(a) + [0] * (n - len(a))
+
+
+# --- integer kernels against sympy
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=80, deadline=None)
+def test_charpoly_matches_sympy(M):
+    # negative entries too: multiplication matrices (`_mul_matrix`) have them
+    assert _charpoly(M) == sympy_oracle.charpoly(M)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+# x, x - 1, x + 1 and the cyclotomic polynomials of orders 3, 4, 5, 6, 8, 12
+SPECIAL_FACTORS = [
+    (0, 1), (-1, 1), (1, 1), (1, 1, 1), (1, 0, 1), (1, 1, 1, 1, 1),
+    (1, -1, 1), (1, 0, 0, 0, 1), (1, 0, -1, 0, 1),
+]
+monic_factors = st.one_of(
+    st.sampled_from(SPECIAL_FACTORS),
+    st.lists(st.integers(-6, 6), min_size=1, max_size=4).map(lambda cs: tuple(cs) + (1,)),
+    # large coefficients need several Hensel steps
+    st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=3).map(lambda cs: tuple(cs) + (1,)),
+)
+
+
+@given(st.lists(monic_factors, min_size=1, max_size=7))
+@example([(1, 1, 1), (1, 1, 1), (-1, 1), (-1, 1), (-1, 1)])
+@example([(1, 0, -10, 0, 1), (-2, 0, 1)])  # x^4 - 10x^2 + 1 is irreducible but splits mod every prime
+@settings(max_examples=120, deadline=None)
+def test_factor_search_matches_sympy(factors):
+    p = (1,)
+    for q in factors:
+        if len(p) + len(q) - 2 <= 14:  # degree at most 14
+            p = _poly_mul(p, q)
+    sqf = _squarefree(p)
+    distinct = sorted(set(sympy_oracle.factor_list(p)), key=lambda q: (len(q), q))
+    assert _irreducible_factors(sqf) == distinct
+    prod = (1,)
+    for q in distinct:
+        prod = _poly_mul(prod, q)
+    assert sqf == prod
+
+
+def test_integer_kernels_refuse_what_they_cannot_certify():
+    with pytest.raises(IntegerKernelError):
+        _charpoly([[F(1, 2)]])  # -tr / 1 leaves a remainder
+    with pytest.raises(IntegerKernelError):
+        _irreducible_factors((1, 2, 1))  # (x + 1)^2 is square-free mod no prime
 
 
 @given(st.integers(2, 5), st.lists(small_fracs, min_size=5, max_size=5))
@@ -414,7 +480,7 @@ def test_inverse_times_element_is_one(d, coeffs):
 
 def test_largest_root_interval_when_bisection_lands_on_a_root():
     # x (x - 1) (x + 5): the first midpoint, 0, is a root
-    lo, hi = _largest_root_interval((0, -5, 4, 1))
+    lo, hi = _largest_root_interval((0, -5, 4, 1), (0, -5, 4, 1))
     p = (F(0), F(-5), F(4), F(1))
     assert sturm_count(p, lo, hi) == 1
     assert lo < 1 <= hi and not lo <= 0 <= hi
@@ -427,7 +493,7 @@ def test_largest_root_interval_isolates_the_largest_root(roots):
     p = (1,)
     for r in roots:  # multiply by (x - r)
         p = tuple(a - r * b for a, b in zip((0,) + p, p + (0,)))
-    lo, hi = _largest_root_interval(p)
+    lo, hi = _largest_root_interval(p, _squarefree(p))
     pf = tuple(F(c) for c in p)
     assert sturm_count(pf, lo, hi) == 1
     assert lo < max(roots) < hi

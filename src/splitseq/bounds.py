@@ -14,6 +14,7 @@ cusp-polygon triangulations maximises on its own.
 """
 
 from dataclasses import dataclass
+from operator import add
 from typing import Optional
 
 from .numberfield import _identity, _is_primitive, _mat_mul
@@ -173,16 +174,13 @@ def _iterate_cusp_data(cycle: AgolCycle, k: int):
     sigma = {c: c for c in names}
     gamma = {c: tuple(0 for _ in range(n)) for c in names}
     power = _identity(n)
+    paths = list(zip(*(gamma1[c] for c in names)))  # column c is gamma1[c]
     for _ in range(k):
         # one more application underneath; its path, written upstairs, is
         # the current power of M applied to the single-period path
+        pushed = zip(*_mat_mul(power, paths))
         nxt_sigma = {c: sigma[sigma1[c]] for c in names}
-        nxt_gamma = {}
-        for c in names:
-            pushed = tuple(
-                sum(power[i][j] * gamma1[c][j] for j in range(n)) for i in range(n)
-            )
-            nxt_gamma[c] = tuple(p + q for p, q in zip(pushed, gamma[sigma1[c]]))
+        nxt_gamma = {c: tuple(map(add, p, gamma[sigma1[c]])) for c, p in zip(names, pushed)}
         sigma, gamma = nxt_sigma, nxt_gamma
         power = _mat_mul(power, M)
     return sigma, gamma, power

@@ -25,7 +25,11 @@ dependency: the characteristic polynomial comes from integer
 Faddeev-LeVerrier (`_charpoly`), and a minimal polynomial from its
 square-free part (`_squarefree`), factored where needed by an integer
 factor search (`_irreducible_factors`: Cantor-Zassenhaus modulo a prime,
-Hensel lifting and Zassenhaus recombination).
+Hensel lifting and Zassenhaus recombination).  Every integer matrix
+product in the package is `_mat_mul`, which accumulates each row over the
+nonzero entries of the left factor only, so composing the elementary
+carrying matrices of splits (each the identity but for one row) costs
+about one row pass per row, not one inner product per entry.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
+from operator import add
 from typing import Callable, Sequence
 
 
@@ -82,10 +87,10 @@ def _poly_deriv(p: Sequence) -> tuple:
 
 def _primitive(p: Sequence) -> tuple[int, ...]:
     """p (Fractions or ints) times the positive rational that makes it a
-    primitive integer polynomial: every sign of p is kept."""
-    den = lcm(*(Fraction(c).denominator for c in p))
+    primitive integer vector: every sign of p is kept, and 0 stays 0."""
+    den = lcm(*(c.denominator for c in p))
     ints = [int(c * den) for c in p]
-    g = gcd(*ints)
+    g = gcd(*ints) or 1
     return tuple(c // g for c in ints)
 
 
@@ -395,9 +400,25 @@ def _identity(n: int) -> list[list[int]]:
 
 
 def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Integer matrix product a * b, as a tuple of row tuples."""
-    bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    """Integer matrix product a * b, as a tuple of row tuples.
+
+    Row i is accumulated as the sum of a[i][k] * b[k] over the nonzero
+    a[i][k] only: one pass over a row of b per nonzero entry of a, so a
+    sparse a, such as a product of a few elementary carrying matrices, is
+    cheap, and a dense a costs no more than inner products would.  An
+    empty b gives rows of width 0.
+    """
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, brow in zip(row, b):
+            if x == 1:
+                acc = list(map(add, acc, brow))
+            elif x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _det_int(a: list[list[int]]) -> int:

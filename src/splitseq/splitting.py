@@ -206,16 +206,18 @@ def _replace_switches(t: TrainTrack, drop: set[str], add: list[Switch]) -> list[
 
 
 def _elem_with_row(t_pre, post_branches, branch, col_ends, tid_pre, tid_post):
+    # the identity on every branch but `branch`, whose row counts col_ends
     rows, cols = t_pre.branches, tuple(post_branches)
+    col = {c: j for j, c in enumerate(cols)}
     ent = []
     for b in rows:
+        row = [0] * len(cols)
         if b != branch:
-            ent.append(tuple(int(b == c) for c in cols))
+            row[col[b]] = 1
         else:
-            counts = {c: 0 for c in cols}
             for e in col_ends:
-                counts[e.branch] += 1
-            ent.append(tuple(counts[c] for c in cols))
+                row[col[e.branch]] += 1
+        ent.append(tuple(row))
     return CarryingMatrix(rows, cols, tuple(ent), tid_pre, tid_post)
 
 

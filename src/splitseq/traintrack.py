@@ -22,13 +22,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import lcm
+from operator import add, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .numberfield import (
     NFElement,
     NumberField,
+    _primitive,
     field_create,
-    nf_const,
     nf_element,
     nf_sign,
 )
@@ -398,16 +400,25 @@ def _connected(t: TrainTrack) -> bool:
 
 
 def switch_condition_holds(t: TrainTrack, m: Measure) -> bool:
+    """At every switch the weights on its two sides have equal sums.
+
+    Each weight is written as an integer coordinate vector over the
+    weights' one common denominator, so a switch's two sums are integer
+    vector sums and their difference is zero exactly when it is zero in
+    Q(lambda).
+    """
     if set(m.names) != set(t.branches):
         raise FieldMismatch("measure branch set does not match track")
+    den = lcm(*(w.den for _, w in m.weights))
+    vec = {b: [c * (den // w.den) for c in w.num] for b, w in m.weights}
     for sw in t.switches:
         side_a, side_b = sw.sides
-        total = nf_const(m.field, 0)
+        total = [0] * m.field.degree
         for e in side_a:
-            total = total + m.weight(e.branch)
+            total = list(map(add, total, vec[e.branch]))
         for e in side_b:
-            total = total - m.weight(e.branch)
-        if not total.is_zero():
+            total = list(map(sub, total, vec[e.branch]))
+        if any(total):
             return False
     return True
 
@@ -436,50 +447,61 @@ def switch_coefficients(t: TrainTrack) -> list[list[int]]:
 def feasible_point(rows: Sequence[Sequence], n: int) -> Optional[list[Fraction]]:
     """Some exact x with rows*x = 0 and every coordinate >= 1, else None.
 
-    Phase-1 simplex over Fractions with Bland's rule, so it terminates and
-    gives the same answer every run.
+    Phase-1 simplex with Bland's rule, so it terminates and gives the same
+    answer every run.  The tableau is fraction-free: each row is a positive
+    integer multiple of the rational tableau's row, cut by its gcd after
+    every pivot, and the reduced costs are one more such row.  Positive
+    multiples keep every sign, and a ratio is compared by cross-multiplying,
+    so the pivots, and the point, are the rational simplex's.  Rows may hold
+    Fractions; each is cleared of denominators by a positive factor first.
     """
-    # substitute y = x - 1 >= 0, flip rows until the right side is >= 0
-    A = [[Fraction(c) for c in row] for row in rows]
-    b = [-sum(row) for row in A]
-    for i in range(len(A)):
-        if b[i] < 0:
-            A[i] = [-c for c in A[i]]
-            b[i] = -b[i]
-    m = len(A)
-    tab = [A[i] + [Fraction(int(k == i)) for k in range(m)] + [b[i]] for i in range(m)]
+    # substitute y = x - 1 >= 0, flip rows until the right side is >= 0;
+    # row i is [A_i | e_i | b_i] times s_i > 0, so its basic column reads s_i
+    m = len(rows)
+    tab = []
+    for i, row in enumerate(rows):
+        b = -sum(row)
+        sign = -1 if b < 0 else 1
+        tab.append(_primitive([sign * c for c in row] + [int(k == i) for k in range(m)] + [sign * b]))
     basis = [n + i for i in range(m)]
-    cost = [Fraction(0)] * n + [Fraction(1)] * m
+    # the phase-1 objective row, cost minus the basic rows' sum, scaled to
+    # integers by the common multiple of the scales
+    scale = lcm(*(r[n + i] for i, r in enumerate(tab)))
+    z = [0] * n + [scale] * m + [0]
+    for i, r in enumerate(tab):
+        f = scale // r[n + i]
+        z = [c - f * x for c, x in zip(z, r)]
+    z = _primitive(z)
     while True:
-        reduced = [
-            cost[j] - sum(cost[basis[i]] * tab[i][j] for i in range(m))
-            for j in range(n + m)
-        ]
-        enter = next((j for j, r in enumerate(reduced) if r < 0), None)
+        enter = next((j for j in range(n + m) if z[j] < 0), None)
         if enter is None:
             break
-        best = None
+        leave = None
         for i in range(m):
             if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs, rhs = tab[i][-1] * tab[leave][enter], tab[leave][-1] * tab[i][enter]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
             return None  # phase-1 objective is bounded, so this cannot happen
-        _, leave = best
-        piv = tab[leave][enter]
-        tab[leave] = [c / piv for c in tab[leave]]
+        prow = tab[leave]
+        piv = prow[enter]
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [c - f * p for c, p in zip(tab[i], tab[leave])]
+            f = tab[i][enter]
+            if i != leave and f != 0:
+                tab[i] = _primitive([piv * c - f * p for c, p in zip(tab[i], prow)])
+        f = z[enter]
+        z = _primitive([piv * c - f * p for c, p in zip(z, prow)])
         basis[leave] = enter
-    if sum(cost[basis[i]] * tab[i][-1] for i in range(m)) != 0:
+    if z[-1] != 0:
         return None
     x = [Fraction(1)] * n
-    for i, j in enumerate(basis):
+    for r, j in zip(tab, basis):
         if j < n:
-            x[j] += tab[i][-1]
+            x[j] += Fraction(r[-1], r[j])
     return x
 
 

@@ -10,7 +10,9 @@ from math import gcd
 
 import pytest
 import sympy
+import matmul_oracle
 import sympy_oracle
+import trackgen
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,7 @@ from splitseq.numberfield import (
     _invert,
     _irreducible_factors,
     _largest_root_interval,
+    _mat_mul,
     _squarefree,
     field_create,
     nf_arith,
@@ -38,6 +41,7 @@ from splitseq.numberfield import (
     pf_eigendata,
     sturm_count,
 )
+from splitseq.splitting import SplitCase, large_branches, split_surgery
 
 F = Fraction
 
@@ -406,6 +410,62 @@ def test_divmod_unit_recombines(a, b, lead):
         for j, y in enumerate(b):
             got[i + j] += x * y
     assert got == list(a) + [0] * (n - len(a))
+
+
+# --- the sparse matrix product against the dense one
+
+
+def _matrix(rows, cols, entries=st.integers(-50, 50)):
+    return st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def product_pairs(draw):
+    # zero rows, zero inner dimension and zero columns included
+    r, k, c = (draw(st.integers(0, 6)) for _ in range(3))
+    sparse = st.one_of(st.just(0), st.just(0), st.just(1), st.integers(-(10**20), 10**20))
+    entries = draw(st.sampled_from([st.integers(-50, 50), sparse]))
+    return draw(_matrix(r, k, entries)), draw(_matrix(k, c, entries))
+
+
+def _is_tuple_of_tuples(m):
+    return type(m) is tuple and all(type(row) is tuple for row in m)
+
+
+@given(product_pairs())
+@example(([], []))
+@example(([[], []], []))
+@example(([[1, -2]], [[], []]))
+# h1_action's change of basis: an inverse with negative entries
+@example(([[1, 0], [-3, 1]], [[1, 0], [3, 1]]))
+@settings(max_examples=200, deadline=None)
+def test_mat_mul_matches_the_dense_product(pair):
+    a, b = pair
+    got = _mat_mul(a, b)
+    assert got == matmul_oracle.mat_mul(a, b)
+    assert _is_tuple_of_tuples(got)
+
+
+@given(st.integers(0, 40), st.data())
+@settings(max_examples=60, deadline=None)
+def test_mat_mul_composes_split_chains_like_the_dense_product(seed, data):
+    # elementary carrying matrices of left, right and central splits: the
+    # identity but for one row, and a central one drops a column
+    t = trackgen.some_track(seed, sizes=(4, 6, 8))
+    elems = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        large = large_branches(t)
+        if not large:
+            break
+        branch = data.draw(st.sampled_from(large))
+        case = data.draw(st.sampled_from(list(SplitCase)))
+        t, elem = split_surgery(t, branch, case)
+        elems.append(elem.entries)
+    assume(elems)
+    sparse = dense = elems[0]
+    for e in elems[1:]:
+        sparse, dense = _mat_mul(sparse, e), matmul_oracle.mat_mul(dense, e)
+        assert sparse == dense and _is_tuple_of_tuples(sparse)
 
 
 # --- integer kernels against sympy

@@ -1,5 +1,6 @@
 """Split and fold moves; carrying matrices; periodic cycle detection."""
 
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -395,6 +396,20 @@ def test_genus2_lift_cycle():
     cyc = find_agol_cycle(t, m, 10)
     assert (t.genus, cyc.n, cyc.m) == (2, 0, 3)
     assert nf_minpoly(cyc.lam)[0] == (F(1), F(-4), F(1))
+
+
+def test_genus3_lift_cycle_is_pinned():
+    # the d = 5 lift of RRL; only the cycle is pinned, as its BoundReport's
+    # integers are too long to print
+    t, m = torus_word_state("RRL")
+    perms = {"a": (0, 1, 2, 3, 4), "b": (1, 0, 2, 4, 3), "c": (3, 1, 0, 4, 2)}
+    t3, m3 = cover_track(t, m, perms)
+    c = find_agol_cycle(t3, m3, 400)
+    assert (t3.genus, t3.l, c.n, c.m) == (3, 15, 0, 6)
+    state = repr((c.n, c.m, c.lam, c.events, c.iso, c.cycle_matrix, c.period_elems))
+    assert hashlib.sha256(state.encode()).hexdigest() == (
+        "e4caa004e9f3823f5a501d1e94e0a88ace581087e7aecc1d7bdce50b650128a6"
+    )
 
 
 def _cover_is_connected(t, perms) -> bool:

@@ -1,12 +1,14 @@
 """Parsing, face tracing, validation."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import simplex_oracle
 from conftest import FIXTURES, fixture_text
 from extension_oracle import catalan, extensions, polygon_triangulations
 from splitseq import traintrack
@@ -30,11 +32,20 @@ from splitseq.traintrack import (
     parse_track,
     regions,
     serialize_track,
+    switch_coefficients,
     switch_condition_holds,
     track_isomorphisms,
     validate,
 )
-from trackgen import GENUS2_PERMS, rename_track, some_track, torus_word_state
+from trackgen import (
+    GENUS2_PERMS,
+    _kernel_basis,
+    rename_track,
+    rescaled_switch_system,
+    some_track,
+    switch_matrix,
+    torus_word_state,
+)
 
 TORUS = fixture_text("torus_anosov.track")
 
@@ -389,6 +400,131 @@ def test_rational_switch_solutions_check_exactly(seed):
             bumped[b] = bumped[b] + nf_const(fld, 1)
             assert not switch_condition_holds(t, Measure.of(fld, bumped))
             break
+
+
+# --- the integer switch check against sums in Q(lambda)
+
+SWITCH_FIELDS = [
+    field_create([-1, 1], (F(0), F(2))),  # Q
+    field_create([1, -3, 1], (F(5, 2), F(3))),  # lambda^2 = 3 lambda - 1
+    field_create([-1, -1, 0, 1], (F(1), F(2))),  # lambda^3 = lambda + 1
+    field_create([-2, 0, 0, 0, 1], (F(1), F(2))),  # Q(2^(1/4))
+]
+
+
+def _field_sum_holds(t, m) -> bool:
+    """The switch conditions by their definition: side a minus side b,
+    summed as elements of the field, is zero at every switch."""
+    for sw in t.switches:
+        side_a, side_b = sw.sides
+        total = nf_const(m.field, 0)
+        for e in side_a:
+            total = total + m.weight(e.branch)
+        for e in side_b:
+            total = total - m.weight(e.branch)
+        if not total.is_zero():
+            return False
+    return True
+
+
+def _elements(fld):
+    # mixed denominators within and across elements
+    coords = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+    return st.lists(coords, min_size=fld.degree, max_size=fld.degree).map(lambda cs: nf_element(fld, cs))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10**9), st.sampled_from(SWITCH_FIELDS), st.data())
+def test_switch_condition_matches_the_field_sum(seed, fld, data):
+    # a solution in Q(lambda) is a combination of a rational kernel basis
+    # with field coefficients; bumping one weight may or may not break it
+    t = some_track(seed, sizes=(2, 4, 6))
+    basis = _kernel_basis(switch_matrix(t), t.l)
+    coeffs = [data.draw(_elements(fld)) for _ in basis]
+    weights = {
+        b: sum((c * v[j] for c, v in zip(coeffs, basis)), nf_const(fld, 0))
+        for j, b in enumerate(t.branches)
+    }
+    m = Measure.of(fld, weights)
+    assert switch_condition_holds(t, m) and _field_sum_holds(t, m)
+    bumped = dict(weights)
+    b = data.draw(st.sampled_from(t.branches))
+    bumped[b] = bumped[b] + data.draw(_elements(fld))
+    m2 = Measure.of(fld, bumped)
+    assert switch_condition_holds(t, m2) == _field_sum_holds(t, m2)
+
+
+# --- the integer-tableau simplex against the Fraction one
+
+
+def _multicurve_systems(seed: int, count: int):
+    """The rescaled switch systems that `Genus2Multicurves.measure` in
+    perfbench/workloads.py solves for its first `count` measures, three per
+    measure, drawn from the same random stream (copied, as the test suite
+    does not import the benchmark)."""
+    rng = random.Random(f"genus2_multicurves:{seed}")
+    pattern = ("genus2_44", "genus2_44", "genus2_tie")
+    tracks = {name: parse_track(fixture_text(f"{name}.track"))[0] for name in set(pattern)}
+    for k in range(count):
+        t = tracks[pattern[k % len(pattern)]]
+        for _ in range(3):
+            D = [rng.randint(1, 50) for _ in range(t.l)]
+            system = rescaled_switch_system(t, D)
+            yield system, t.l
+            y = simplex_oracle.feasible_point(system, t.l)
+            x = [D[j] * y[j] for j in range(t.l)]
+            den = math.lcm(*(q.denominator for q in x))
+            vertex = [int(q * den) for q in x]
+            rng.randint(1, max(1, 10**6 // (3 * max(vertex))))  # the measure's weight
+
+
+def _fixture_systems():
+    """Every fixture's switch rows: as they are, rescaled by integers, and
+    rescaled by Fractions."""
+    rng = random.Random("fixture systems")
+    for path in sorted(FIXTURES.glob("*.track")):
+        t, _ = parse_track(path.read_text())
+        yield switch_coefficients(t), t.l
+        yield rescaled_switch_system(t, [rng.randint(1, 20) for _ in range(t.l)]), t.l
+        yield rescaled_switch_system(t, [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(t.l)]), t.l
+
+
+def test_feasible_point_matches_the_fraction_simplex_on_fixtures_and_multicurves():
+    fixtures, multicurves = list(_fixture_systems()), list(_multicurve_systems(3, 8))
+    systems = fixtures + multicurves
+    got = [traintrack.feasible_point(rows, n) for rows, n in systems]
+    assert got == [simplex_oracle.feasible_point(rows, n) for rows, n in systems]
+    # four fixtures are not recurrent; every multicurve system has a point
+    assert sum(x is None for x in got) == 4 * 3
+    assert all(x is not None for x in got[len(fixtures):])
+
+
+def test_feasible_point_breaks_ratio_ties_like_the_fraction_simplex():
+    # on these tracks rows tie in the ratio test, and which one leaves the
+    # basis decides the vertex found
+    for seed in (1066, 1878):
+        t = some_track(seed, sizes=(4, 6, 8, 10, 12))
+        rows = switch_coefficients(t)
+        got = traintrack.feasible_point(rows, t.l)
+        assert got is not None and got == simplex_oracle.feasible_point(rows, t.l)
+
+
+def test_feasible_point_refuses_a_non_recurrent_track():
+    t, _ = parse_track(fixture_text("nonrecurrent.track"))
+    rows = switch_coefficients(t)
+    assert traintrack.feasible_point(rows, t.l) is None
+    assert simplex_oracle.feasible_point(rows, t.l) is None
+    assert not traintrack.is_recurrent(t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.data())
+def test_feasible_point_matches_the_fraction_simplex_on_random_tracks(seed, data):
+    # the rescalings `positive_measure` draws, and Fraction ones
+    t = some_track(seed)
+    scale = st.one_of(st.integers(1, 20), st.builds(F, st.integers(1, 9), st.integers(1, 9)))
+    rows = rescaled_switch_system(t, data.draw(st.lists(scale, min_size=t.l, max_size=t.l)))
+    assert traintrack.feasible_point(rows, t.l) == simplex_oracle.feasible_point(rows, t.l)
 
 
 def test_canonical_form_is_computed_once_per_track(monkeypatch):

@@ -95,14 +95,18 @@ def random_measure(t: TrainTrack, rng: random.Random, positive=False, attempts=4
     )
 
 
+def rescaled_switch_system(t: TrainTrack, D) -> list[list]:
+    """The switch rows of t with column j multiplied by D[j]."""
+    return [[r[j] * D[j] for j in range(t.l)] for r in switch_matrix(t)]
+
+
 def positive_measure(t: TrainTrack, rng: random.Random) -> Measure:
     """Positive rational measure on a recurrent track: the sum of two
     vertices of {x >= 1, switch rows x = 0} under random diagonal rescalings."""
-    rows = switch_matrix(t)
     x = [Fraction(0)] * t.l
     for _ in range(2):
         D = [rng.randint(1, 20) for _ in range(t.l)]
-        y = feasible_point([[r[j] * D[j] for j in range(t.l)] for r in rows], t.l)
+        y = feasible_point(rescaled_switch_system(t, D), t.l)
         x = [a + D[j] * y[j] for j, a in enumerate(x)]
     return Measure.of(
         RATIONALS, {b: nf_element(RATIONALS, [x[j]]) for j, b in enumerate(t.branches)}

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .numberfield import _det_int, _identity, _mat_mul
-from .splitting import AgolCycle, SplitCase, SplitEvent, split_case
+from .splitting import AgolCycle, SplitCase, SplitEvent
 from .traintrack import BranchEnd, TrainTrack, TrackIso, regions
 
 
@@ -778,17 +778,15 @@ def factorize(cycle: AgolCycle, sigma: SpecialMark) -> ArcslideSequence:
     diagram of ``sigma``, closes the period through the cycle's track
     isomorphism (a rename step), and finally routes every frame handle back
     to its original cusp with boundary adjustments.  The sequence starts and
-    ends at the same diagram, so its homology action is defined.  Each event
-    is checked against the recorded track and measure before its group.
+    ends at the same diagram, so its homology action is defined.  The
+    events are taken as the cycle certified them when it was built.
     """
     t0 = cycle.start_track
     start = special_arc_diagram(t0, sigma)
     d = start
     slides: list[Arcslide] = []
-    for t, mu, group in zip(cycle.period_tracks, cycle.period_measures, cycle.events):
+    for group in cycle.events:
         for ev in group:
-            if split_case(t, mu, ev.branch) is not ev.case:
-                raise NotALoop(f"recorded period does not split {ev.branch} {ev.case.value}")
             pair, d = split_slides(d, ev)
             slides.extend(pair)
     t = cycle.period_tracks[-1]

@@ -18,7 +18,7 @@ from operator import add
 from typing import Optional
 
 from .numberfield import _identity, _is_primitive, _mat_mul
-from .splitting import AgolCycle, CarryingMatrix, SplitCase, incidence_compose, split_case
+from .splitting import AgolCycle, CarryingMatrix, incidence_compose
 from .traintrack import BranchEnd, NotFilling, TrainTrack, _region_conditions, regions
 
 
@@ -36,10 +36,6 @@ class IncompatibleCoordinates(ValueError):
 
 class DimensionMismatch(ValueError):
     """Vector length does not match the matrix."""
-
-
-class ReplayMismatch(RuntimeError):
-    """A cycle's recorded events do not match its recorded period."""
 
 
 class BoundViolated(ArithmeticError):
@@ -122,39 +118,27 @@ def _period_cusp_data(cycle: AgolCycle):
     name to the name whose cusp the map lands on, and gamma[name] counts how
     often the connecting train path runs over each start-track branch.
 
-    Nothing is split again.  Group k of the events is read off the recorded
-    track and measure before it, the split branch's column off the product
-    of the earlier groups' matrices, and each event's case is checked there
-    (one exact sign).  This equals splitting the group one branch at a time:
-    a period holds no central split, and two large branches share no
-    switch, so no split of a group changes what another one reads.
+    Nothing is split or decided again (the cycle certified its events).
+    Group k of the events is read off the recorded track before it, and the
+    split branch's column off the product of the earlier groups' matrices.
     """
     t0 = cycle.start_track
     sigma = {sw.name: sw.name for sw in t0.switches}
     gamma = {sw.name: [0] * t0.l for sw in t0.switches}
-    composed: Optional[CarryingMatrix] = None
+    composed = CarryingMatrix.identity(t0.branches)
 
-    for cur_t, cur_m, step, elem in zip(
-        cycle.period_tracks, cycle.period_measures, cycle.events, cycle.period_elems
-    ):
+    for cur_t, step, elem in zip(cycle.period_tracks, cycle.events, cycle.period_elems):
         for ev in step:
-            if ev.case is SplitCase.CENTRAL:
-                raise ValueError("a cycle period cannot contain a central split")
-            if split_case(cur_t, cur_m, ev.branch) is not ev.case:
-                raise ReplayMismatch(f"recorded period does not split {ev.branch} {ev.case.value}")
             u_name, v_name = (cur_t.switch_of(BranchEnd(ev.branch, e)).name for e in (0, 1))
             # push the local crossing of ev.branch into start-track counts
-            if composed is None:
-                local = [int(b == ev.branch) for b in t0.branches]
-            else:
-                j = composed.cols.index(ev.branch)
-                local = [row[j] for row in composed.entries]
+            j = composed.cols.index(ev.branch)
+            local = [row[j] for row in composed.entries]
             sigma[u_name], sigma[v_name] = sigma[v_name], sigma[u_name]
             gamma[u_name], gamma[v_name] = (
                 [a + b for a, b in zip(local, gamma[v_name])],
                 [a + b for a, b in zip(local, gamma[u_name])],
             )
-        composed = elem if composed is None else incidence_compose(composed, elem)
+        composed = incidence_compose(composed, elem)
 
     # fold the closing isomorphism in: a start-track cusp is first pulled
     # back through it (the iso maps end-track switches to start-track ones),
@@ -309,8 +293,7 @@ def push_curve(M: CarryingMatrix, curve: NormalCurve):
     v = curve.coords
     if len(v) != len(M.cols):
         raise DimensionMismatch("coordinate length does not match matrix columns")
-    ent = M.entries
-    v2 = tuple(sum(ent[i][j] * v[j] for j in range(len(v))) for i in range(len(ent)))
+    v2 = tuple(x for (x,) in _mat_mul(M.entries, [(x,) for x in v]))
     len_bound = sum(v2)
     int_bound = sum(v[i] * v2[i] for i in range(len(v)))
     r = r_of_psi(M)

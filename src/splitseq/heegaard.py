@@ -286,7 +286,6 @@ class NormalBasis:
     union: tuple[int, ...]
     components: tuple[TracedCurve, ...]
     assignment: tuple[tuple[int, ...], ...]  # curve index -> component indices
-    tau_crossings: int
     length: int
     geom: _Geom = field(compare=False, repr=False)
 
@@ -375,7 +374,6 @@ def normalize_basis(t: TrainTrack, curves: Iterable) -> NormalBasis:
         union=tuple(union[b] for b in branches),
         components=components,
         assignment=assignment,
-        tau_crossings=tau,
         length=length,
         geom=geom,
     )

@@ -16,7 +16,8 @@ Iterating maximal splits on a positive measure detects the eventual
 periodicity (preperiod n, period m, a ribbon isomorphism, and a stretch
 factor lambda > 1).  Each state is keyed by its projectivized weights
 alone; only states with equal keys are compared by a ribbon isomorphism,
-so canonical forms are built only when keys collide.
+so canonical forms are built only when keys collide.  An `AgolCycle`
+certifies its splits once, when built; no later stage decides one again.
 """
 
 from __future__ import annotations
@@ -221,16 +222,10 @@ def _elem_with_row(t_pre, post_branches, branch, col_ends, tid_pre, tid_post):
     return CarryingMatrix(rows, cols, tuple(ent), tid_pre, tid_post)
 
 
-def split_case(t: TrainTrack, m: Measure, branch: str) -> Optional[SplitCase]:
-    """The case a split of `branch` takes under `m`, or None if it is not large.
-
-    Reads the sign of weight(P) - weight(T), P the small-left branch at
-    end 0 and T the small-right branch at end 1; nothing is split.
-    """
-    if not is_large_branch(t, branch):
-        return None
+def _weight_gap(t: TrainTrack, m: Measure, branch: str) -> NFElement:
+    # P - T, P small-left at end 0 and T small-right at end 1: its sign is the case
     u, v = t.switch_of(BranchEnd(branch, 0)), t.switch_of(BranchEnd(branch, 1))
-    return _CASE[nf_sign(m.weight(u.small_left.branch) - m.weight(v.small_right.branch))]
+    return m.weight(u.small_left.branch) - m.weight(v.small_right.branch)
 
 
 def split(
@@ -248,8 +243,7 @@ def _split(
     t: TrainTrack, m: Measure, branch: str
 ) -> tuple[TrainTrack, Measure, CarryingMatrix, SplitEvent]:
     # the measure update, on a large branch and a measure already checked
-    u, v = t.switch_of(BranchEnd(branch, 0)), t.switch_of(BranchEnd(branch, 1))
-    diff = m.weight(u.small_left.branch) - m.weight(v.small_right.branch)
+    diff = _weight_gap(t, m, branch)
     side = nf_sign(diff)
     event = SplitEvent(branch, _CASE[side])
     t2, elem = split_surgery(t, branch, event.case)
@@ -372,8 +366,20 @@ def _maximal_split(
 # periodic splitting cycle detection
 
 
+class ReplayMismatch(RuntimeError):
+    """A cycle's recorded events are not the splits of its recorded period."""
+
+
 @dataclass(frozen=True)
 class AgolCycle:
+    """One period of maximal splits, certified when it is built.
+
+    Every event of events[k] is a left or right split of a large branch of
+    period_tracks[k], in the case period_measures[k] decides.  Tied large
+    branches share no switch, so each event of a group is read off the
+    group's start.  Later stages trust the events and decide no split again.
+    """
+
     n: int
     m: int
     iso: TrackIso  # later track -> earlier track
@@ -383,6 +389,14 @@ class AgolCycle:
     period_tracks: tuple[TrainTrack, ...]  # tau_n .. tau_{n+m}
     period_measures: tuple[Measure, ...]
     period_elems: tuple[CarryingMatrix, ...]
+
+    def __post_init__(self):
+        for t, mu, group in zip(self.period_tracks, self.period_measures, self.events):
+            for ev in group:
+                if ev.case is SplitCase.CENTRAL or not is_large_branch(t, ev.branch) or (
+                    _CASE[nf_sign(_weight_gap(t, mu, ev.branch))] is not ev.case
+                ):
+                    raise ReplayMismatch(f"recorded period does not split {ev.branch} {ev.case.value}")
 
     @property
     def start_track(self) -> TrainTrack:

@@ -730,6 +730,8 @@ def _emit(t: TrainTrack, start: BranchEnd):
     branch_map: dict[str, tuple[int, int]] = {}
     switch_map: dict[str, int] = {}
     word: list = []
+    # the corner after an end lies in the region whose boundary holds that end
+    punctured = {h for r in regions(t) if r.punctured for h in r.boundary}
 
     def blabel(e: BranchEnd) -> tuple[int, int]:
         if e.branch not in branch_map:
@@ -750,11 +752,11 @@ def _emit(t: TrainTrack, start: BranchEnd):
         k = ccw.index(entry)
         seq = ccw[k:] + ccw[:k]
         na = len(sw.sides[0])
-        # cusp bit for the corner after position i (in unrotated indexing)
+        # corner after position i (unrotated): 0 smooth, 1 cusp, 2 cusp of a punctured region
         for off, e in enumerate(seq):
             i = (k + off) % len(ccw)
             j = (i + 1) % len(ccw)
-            cusp = 1 if (j != na and j != 0) else 0
+            cusp = 0 if j in (na, 0) else 2 if e in punctured else 1
             word.append((*blabel(e), cusp))
             queue.append(e.other())
     if len(switch_map) != t.s:
@@ -804,7 +806,7 @@ class TrackIso:
 
 
 def track_isomorphisms(t1: TrainTrack, t2: TrainTrack) -> list[TrackIso]:
-    """All ribbon isomorphisms t1 -> t2 (orientation-preserving)."""
+    """All ribbon isomorphisms t1 -> t2 (orientation-preserving), punctures to punctures."""
     w1, labs1 = canonical_form(t1)
     w2, labs2 = canonical_form(t2)
     if w1 != w2:

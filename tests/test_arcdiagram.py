@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from splitseq import arcdiagram, traintrack
+from splitseq import arcdiagram, numberfield, splitting, traintrack
 from splitseq.arcdiagram import (
     ArcDiagram,
     Arcslide,
@@ -45,7 +45,8 @@ from splitseq.arcdiagram import (
     special_arc_diagram,
     split_slides,
 )
-from splitseq.splitting import SplitCase, SplitEvent, find_agol_cycle, split
+from splitseq.bounds import bound_report
+from splitseq.splitting import ReplayMismatch, SplitCase, SplitEvent, find_agol_cycle, split
 from splitseq.traintrack import parse_track, regions
 from trackgen import torus_word_state
 
@@ -410,15 +411,31 @@ def test_one_chain_action_pass_per_sequence(monkeypatch):
 
 def test_factorize_traces_each_track_once(monkeypatch):
     # special_arc_diagram runs twice on the start track and region_map twice
-    # more; the regions are traced once and cached on the track
+    # more, after the search's canonical forms read its regions; the regions
+    # are traced once and cached on the track
     t, m = load("torus_anosov.track")
-    cyc = find_agol_cycle(t, m, 64)
     traced = []
     real = traintrack._trace_regions
     monkeypatch.setattr(traintrack, "_trace_regions", lambda x: traced.append(x) or real(x))
+    cyc = find_agol_cycle(t, m, 64)
     factorize(cyc, SpecialMark(frozenset({"u"})))
     assert any(x is cyc.start_track for x in traced)
     assert len({id(x) for x in traced}) == len(traced)
+
+
+@pytest.mark.parametrize("name", CYCLE_FIXTURES)
+def test_bounds_and_factorize_decide_no_split_again(monkeypatch, name):
+    # the cycle certified its events when the search built it; the stages
+    # that read it make no exact sign query
+    t, m = load(name)
+    cyc = find_agol_cycle(t, m, 64)
+    signs = []
+    for mod in (numberfield, traintrack, splitting):
+        real = mod.nf_sign
+        monkeypatch.setattr(mod, "nf_sign", lambda x, real=real: signs.append(x) or real(x))
+    bound_report(cyc)
+    factorize(cyc, least_mark(cyc.start_track))
+    assert signs == []
 
 
 def torus_word_cycle(word: str):
@@ -460,8 +477,9 @@ def test_factorize_refuses_a_tampered_cycle():
     first, *rest = cyc.events[0]
     flipped = SplitCase.LEFT if first.case is SplitCase.RIGHT else SplitCase.RIGHT
     events = ((dataclasses.replace(first, case=flipped), *rest),) + cyc.events[1:]
-    with pytest.raises(NotALoop, match="recorded period"):
-        factorize(dataclasses.replace(cyc, events=events), SpecialMark(frozenset({"u"})))
+    # refused when it is built, before factorize could read it
+    with pytest.raises(ReplayMismatch, match="recorded period"):
+        dataclasses.replace(cyc, events=events)
 
 
 @st.composite

@@ -25,7 +25,6 @@ from splitseq.bounds import (
     NormalCurve,
     NotAnExtension,
     NotPrimitive,
-    ReplayMismatch,
     _best_triangulation,
     _c_from_transport,
     _cycle_transport,
@@ -45,12 +44,12 @@ from splitseq.numberfield import NotPerronFrobenius, _is_primitive, nf_const, pf
 from splitseq.splitting import (
     AgolCycle,
     CarryingMatrix,
+    ReplayMismatch,
     SplitCase,
     find_agol_cycle,
     incidence_compose,
     maximal_split,
     split,
-    split_case,
     track_id,
 )
 from splitseq.traintrack import BranchEnd, Measure, parse_track
@@ -345,8 +344,9 @@ def test_cusp_data_refuses_a_tampered_cycle():
     first, *rest = cyc.events[0]
     flipped = SplitCase.LEFT if first.case is SplitCase.RIGHT else SplitCase.RIGHT
     events = ((dataclasses.replace(first, case=flipped), *rest),) + cyc.events[1:]
-    with pytest.raises(ReplayMismatch):
-        _period_cusp_data(dataclasses.replace(cyc, events=events))
+    # refused when it is built, before _period_cusp_data could read it
+    with pytest.raises(ReplayMismatch, match="recorded period"):
+        dataclasses.replace(cyc, events=events)
 
 
 def _column(M: CarryingMatrix, branch: str) -> list[int]:
@@ -360,12 +360,13 @@ def _ends(t, branch: str) -> tuple[str, str]:
 
 def test_tie_groups_read_the_same_from_the_group_start():
     # each maximal split below is a non-central tie of two branches; what
-    # _period_cusp_data reads off the group's start must match what
-    # splitting the group's branches one after another gives
+    # AgolCycle and _period_cusp_data read off the group's start must match
+    # what splitting the group's branches one after another gives
     t, _ = parse_track((FIXTURES / "genus2_tie.track").read_text())
     weights = dict(zip(t.branches, (9, 2, 9, 7, 5, 4, 7, 5, 2)))
     m = Measure.of(RATIONALS, {b: nf_const(RATIONALS, w) for b, w in weights.items()})
     product = CarryingMatrix.identity(t.branches, track_id(t))
+    tracks, measures, groups, elems = [t], [m], [], []
     for _ in range(2):
         t2, m2, elem, events = maximal_split(t, m)
         assert len(events) == 2
@@ -374,13 +375,26 @@ def test_tie_groups_read_the_same_from_the_group_start():
         for ev in events:
             assert _ends(t, ev.branch) == _ends(cur_t, ev.branch)
             assert _column(product, ev.branch) == _column(running, ev.branch)
-            case = split_case(t, m, ev.branch)
             cur_t, cur_m, e, got = split(cur_t, cur_m, ev.branch)
-            assert got == ev and case is got.case
+            assert got == ev
             running = incidence_compose(running, e)
         product = incidence_compose(product, elem)
         assert running.entries == product.entries
         t, m = t2, m2
+        tracks.append(t)
+        measures.append(m)
+        groups.append(events)
+        elems.append(elem)
+    # the certificate reads every case off its group's start, and agrees
+    period = dict(
+        n=0, m=2, iso=None, lam=nf_const(RATIONALS, 2), cycle_matrix=product,
+        period_tracks=tuple(tracks), period_measures=tuple(measures), period_elems=tuple(elems),
+    )
+    AgolCycle(events=tuple(groups), **period)
+    (a, b), rest = groups[0], tuple(groups[1:])
+    flipped = SplitCase.LEFT if b.case is SplitCase.RIGHT else SplitCase.RIGHT
+    with pytest.raises(ReplayMismatch, match=f"does not split {b.branch}"):
+        AgolCycle(events=((a, dataclasses.replace(b, case=flipped)),) + rest, **period)
 
 
 def test_cusp_data_refuses_a_central_split():
@@ -388,12 +402,11 @@ def test_cusp_data_refuses_a_central_split():
     t, m = parse_track((FIXTURES / "genus2_tie.track").read_text())
     t2, m2, elem, events = maximal_split(t, m)
     assert [ev.case for ev in events] == [SplitCase.CENTRAL, SplitCase.LEFT]
-    cyc = AgolCycle(
-        n=0, m=1, iso=None, lam=nf_const(m.field, 2), cycle_matrix=elem, events=(events,),
-        period_tracks=(t, t2), period_measures=(m, m2), period_elems=(elem,),
-    )
-    with pytest.raises(ValueError, match="central"):
-        _period_cusp_data(cyc)
+    with pytest.raises(ReplayMismatch, match="b0 central"):
+        AgolCycle(
+            n=0, m=1, iso=None, lam=nf_const(m.field, 2), cycle_matrix=elem, events=(events,),
+            period_tracks=(t, t2), period_measures=(m, m2), period_elems=(elem,),
+        )
 
 
 # --- closed formulas ---

@@ -40,6 +40,7 @@ from splitseq.traintrack import (
 from trackgen import (
     GENUS2_PERMS,
     _kernel_basis,
+    positive_measure,
     rename_track,
     rescaled_switch_system,
     some_track,
@@ -328,6 +329,23 @@ def test_torus_automorphisms():
     assert len(isos) == 2
     flips = {tuple(flip for _, _, flip in iso.branches) for iso in isos}
     assert flips == {(0, 0, 0), (1, 1, 1)}
+
+
+def test_isomorphisms_keep_punctured_regions_punctured():
+    # a genus-3 double cover of genus2_44 with four 4-cusp regions, one of
+    # them punctured: a self-map moving the puncture is no isomorphism
+    t, _ = parse_track(fixture_text("genus2_44.track"))
+    perms = {b: (1, 0) if b == "b11" else (0, 1) for b in t.branches}
+    c, _ = cover_track(t, positive_measure(t, random.Random(0)), perms)
+    c = TrainTrack(c.branches, c.switches, c.genus, (regions(c)[0].cusps[0],))
+    assert c.genus == 3 and [(r.cusp_count, r.punctured) for r in regions(c)] == [
+        (4, True), (4, False), (4, False), (4, False)
+    ]
+    punctured = {h for r in regions(c) if r.punctured for h in r.boundary}
+    isos = track_isomorphisms(c, c)
+    assert isos
+    for iso in isos:
+        assert {iso.end_image(h) for h in punctured} == punctured
 
 
 def _iso_is_valid(t1, t2, iso):

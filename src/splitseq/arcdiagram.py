@@ -24,10 +24,11 @@ the split branch and landing next to the opposite end: a pair of arcslides.
 The slides reproduce the post-split diagram up to where each affected
 interval is cut open, because the cusp sector of a switch rotates past the
 split branch while slides never move the cut.  ``split_slides`` therefore
-re-cuts the two intervals afterwards (new branch end to the front of the
-interval for a left split, to the back for a right split).  The re-cut
-touches no handle, and on capped homology it is invisible: its only
-chain-level content is a boundary-parallel class.
+ends with two list moves that re-cut the two intervals (new branch end to
+the front of the interval for a left split, to the back for a right split).
+The re-cut touches no handle, and on capped homology it is invisible: its
+only chain-level content is a boundary-parallel class.  Slides run in place
+on interval lists and are kept as records, not diagrams.
 
 First homology of F is tracked on the chain level.  Handles are oriented
 edges between interval-vertices; an arcslide rewrites the slid handle as
@@ -315,6 +316,47 @@ def special_arc_diagram(t: TrainTrack, sigma: SpecialMark) -> ArcDiagram:
 # arcslides
 
 
+def _where(rows: Sequence[Sequence[str]], p: str) -> tuple[int, int] | None:
+    return next(((i, pts.index(p)) for i, pts in enumerate(rows) if p in pts), None)
+
+
+def _with_rows(d: ArcDiagram, rows: list[list[str]]) -> ArcDiagram:
+    return ArcDiagram(tuple(map(tuple, rows)), d.matching, d.labels)
+
+
+@dataclass(frozen=True)
+class Arcslide:
+    """One slide, ``slid`` across its neighbor ``over``, recorded ``at``
+    (interval, index of slid, index of over) in the diagram it applies to."""
+
+    slid: str
+    over: str
+    at: tuple[int, int, int]
+
+    def as_line(self) -> str:
+        i, ja, jb = self.at
+        return f"({i}, {ja}, {jb}, {'+' if jb > ja else '-'})"
+
+
+def _slide(rows: list[list[str]], d: ArcDiagram, slid: str, over: str) -> Arcslide:
+    """Slide ``slid`` across ``over`` in place on ``rows``, the intervals of
+    a diagram with ``d``'s matching, and record where it happened."""
+    a, b = _where(rows, slid), _where(rows, over)
+    if a is None or b is None:
+        raise NotAdjacent(f"unknown point in ({slid!r}, {over!r})")
+    (ia, ja), (ib, jb) = a, b
+    if ia != ib or abs(ja - jb) != 1:
+        raise NotAdjacent(f"{slid!r} and {over!r} are not adjacent on one interval")
+    target = d.partner(over)
+    if target == slid:
+        raise NotAdjacent("cannot slide a handle across itself")
+    rows[ia].pop(ja)
+    ti, tj = _where(rows, target)
+    # slid sat above over, so it lands below the partner, and vice versa
+    rows[ti].insert(tj if ja > jb else tj + 1, slid)
+    return Arcslide(slid, over, (ia, ja, jb))
+
+
 def arcslide(d: ArcDiagram, slid: str, over: str) -> ArcDiagram:
     """Slide the point ``slid`` across its neighbor ``over``.
 
@@ -323,56 +365,20 @@ def arcslide(d: ArcDiagram, slid: str, over: str) -> ArcDiagram:
     versa), keeping its own name and matching.  Sliding back across the
     partner restores the original diagram on the nose.
     """
-    pos = d._position_map()
-    if slid not in pos or over not in pos:
-        raise NotAdjacent(f"unknown point in ({slid!r}, {over!r})")
-    (ia, ja), (ib, jb) = pos[slid], pos[over]
-    if ia != ib or abs(ja - jb) != 1:
-        raise NotAdjacent(f"{slid!r} and {over!r} are not adjacent on one interval")
-    if d.partner(over) == slid:
-        raise NotAdjacent("cannot slide a handle across itself")
-    target = d.partner(over)
-    above = ja > jb  # slid sat above over, so it lands below the partner
     rows = [list(pts) for pts in d.intervals]
-    rows[ia].pop(ja)
-    ti, tj = pos[target]
-    if ti == ia and tj > ja:
-        tj -= 1
-    rows[ti].insert(tj if above else tj + 1, slid)
-    return ArcDiagram(tuple(tuple(r) for r in rows), d.matching, d.labels)
+    _slide(rows, d, slid, over)
+    return _with_rows(d, rows)
 
 
-@dataclass(frozen=True)
-class Arcslide:
-    """One slide, remembering the diagram it applies to."""
-
-    diagram: ArcDiagram
-    slid: str
-    over: str
-
-    def apply(self) -> ArcDiagram:
-        return arcslide(self.diagram, self.slid, self.over)
-
-    def as_line(self) -> str:
-        i, ja = self.diagram.position(self.slid)
-        _, jb = self.diagram.position(self.over)
-        return f"({i}, {ja}, {jb}, {'+' if jb > ja else '-'})"
-
-
-def _elementary_sign(
-    d: ArcDiagram, slid: str, over: str
-) -> tuple[tuple[str, str], tuple[str, str], int]:
+def _elementary_sign(handle: dict[str, tuple[int, int]], slid: str, over: str) -> int:
     """Chain-level content of a slide: handle(slid) += s * handle(over).
 
     The slid handle's new core runs from the landing spot back through the
     crossed handle to the old foot; s is the crossed handle's orientation
     along that detour times the moved foot's end of its own handle.
+    ``handle[p]`` is (slot of p's handle, 1 if p is its tail else -1).
     """
-    h_over = d.handle_of(over)
-    h_slid = d.handle_of(slid)
-    connector = 1 if over == h_over[0] else -1
-    s = connector * (1 if slid == h_slid[1] else -1)
-    return h_slid, h_over, s
+    return -handle[slid][1] * handle[over][1]
 
 
 # ---------------------------------------------------------------------------
@@ -387,45 +393,37 @@ def split_slides(
     Each small branch on the shrinking side of the split branch slides
     across the branch end it abuts and lands beside the opposite end; both
     movers are read off ``pre``.  The two affected intervals are then
-    re-cut, so the returned diagram equals the one built fresh from the
-    post-split track, frames riding along untouched.
+    re-cut: each new branch end moves to the front (left split) or back
+    (right split) of its interval's framed span.  That is pure basepoint
+    bookkeeping, because the cusp sector of a switch rotates past the split
+    branch during a split, so the cut tracking the cusp lands on the far
+    side of the new branch end; no handle changes, and the capped homology
+    action is unaffected.  The returned diagram equals the one built fresh
+    from the post-split track, frames riding along untouched.
     """
     if event.case is SplitCase.CENTRAL:
         raise CentralSplit("central splits do not act by arcslides")
     front = event.case is SplitCase.LEFT
-    e0, e1 = f"{event.branch}.0", f"{event.branch}.1"
+    ends = (f"{event.branch}.0", f"{event.branch}.1")
     movers = []
-    for e in (e0, e1):
+    for e in ends:
         i, j = pre.position(e)
         pts = pre.intervals[i]
         k = j + 1 if front else j - 1
         if not (0 <= k < len(pts)):
             raise NotAdjacent(f"no neighbor on the split side of {e}")
         movers.append(pts[k])
-    first = Arcslide(pre, movers[0], e0)
-    second = Arcslide(first.apply(), movers[1], e1)
-    d = _recut(second.apply(), e0, front)
-    return (first, second), _recut(d, e1, front)
-
-
-def _recut(d: ArcDiagram, point: str, front: bool) -> ArcDiagram:
-    """Move a point to the front or back of its interval's framed span.
-
-    Pure basepoint bookkeeping: the cusp sector of a switch rotates past
-    the split branch during a split, so the cut tracking the cusp lands on
-    the far side of the new branch end.  No handle changes, and the capped
-    homology action is unaffected.
-    """
-    i, j = d.position(point)
-    pts = list(d.intervals[i])
-    lo, hi = 0, len(pts)
-    if len(pts) >= 2 and d.partner(pts[0]) == pts[-1]:
-        lo, hi = 1, len(pts) - 1  # keep the frame handle outside
-    pts.pop(j)
-    pts.insert(lo if front else hi - 1, point)
-    rows = list(d.intervals)
-    rows[i] = tuple(pts)
-    return ArcDiagram(tuple(rows), d.matching, d.labels)
+    rows = [list(pts) for pts in pre.intervals]
+    first, second = (_slide(rows, pre, m, e) for m, e in zip(movers, ends))
+    for e in ends:
+        i, j = _where(rows, e)
+        pts = rows[i]
+        lo, hi = 0, len(pts)
+        if len(pts) >= 2 and pre.partner(pts[0]) == pts[-1]:
+            lo, hi = 1, len(pts) - 1  # keep the frame handle outside
+        pts.pop(j)
+        pts.insert(lo if front else hi - 1, e)
+    return (first, second), _with_rows(pre, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -449,29 +447,20 @@ def _move_frame(
     x, y = pts[0], pts[-1]
     if d.partner(x) != y:
         raise MalformedDiagram(f"interval {w_from!r} carries no frame handle")
+    rows = [list(p) for p in d.intervals]
     slides: list[Arcslide] = []
-    budget = 4 * sum(len(p) for p in d.intervals) + 8
-    while True:
-        i, j = d.position(y)
-        if i == i_to and j == 0:
-            break
-        if j == 0 or budget <= 0:
-            raise MalformedDiagram("back foot ran off its route")
-        sl = Arcslide(d, y, d.intervals[i][j - 1])
-        slides.append(sl)
-        d = sl.apply()
-        budget -= 1
-    while True:
-        i, j = d.position(x)
-        if i == i_to and j == len(d.intervals[i]) - 1:
-            break
-        if j == len(d.intervals[i]) - 1 or budget <= 0:
-            raise MalformedDiagram("front foot ran off its route")
-        sl = Arcslide(d, x, d.intervals[i][j + 1])
-        slides.append(sl)
-        d = sl.apply()
-        budget -= 1
-    return d, slides
+    budget = 4 * sum(len(p) for p in rows) + 8
+    for foot, step, name in ((y, -1, "back"), (x, 1, "front")):
+        while True:
+            i, j = _where(rows, foot)
+            last = 0 if step < 0 else len(rows[i]) - 1
+            if i == i_to and j == last:
+                break
+            if j == last or budget <= 0:
+                raise MalformedDiagram(f"{name} foot ran off its route")
+            slides.append(_slide(rows, d, foot, rows[i][j + step]))
+            budget -= 1
+    return _with_rows(d, rows), slides
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +471,12 @@ def _move_frame(
 class ArcslideSequence:
     """Slides applied left to right; the sequence is data only.
 
-    ``renames`` records point renamings applied between slides, as (index
-    of the next slide, old -> new pairs); factorizations use one such step
-    where the period closes up through the track isomorphism.  The homology
-    action is computed from the slides by ``h1_action``.
+    Only ``start`` and ``end`` are diagrams; each slide records positions
+    in the diagram the slides before it reach.  ``renames`` records point
+    renamings applied between slides, as (index of the next slide, old ->
+    new pairs), each keeping a point's end of its handle; factorizations use
+    one such step where the period closes up through the track isomorphism.
+    The homology action is computed from the slides by ``h1_action``.
     """
 
     start: ArcDiagram
@@ -500,35 +491,35 @@ def _chain_action(seq: ArcslideSequence) -> tuple[tuple[int, ...], ...]:
 
     Column k of the running product expresses the handle currently carrying
     slot k in the start basis; a rename step rewires point names without a
-    matrix factor, because renaming moves no handle.  The end handles are
-    then identified with start handles through their foot positions, which
-    makes the matrix an endomorphism of the start basis.  The caller checks
-    that end and start have the same pattern.
+    matrix factor, because renaming moves no handle.  Each handle's slot
+    and tail come from ``seq.start.matching``, carried through the renames.
+    The end handles are then identified with start handles through their
+    foot positions, which makes the matrix an endomorphism of the start
+    basis.  The caller checks that end and start have the same pattern.
     """
     start, end = seq.start, seq.end
     order = start.matching
     n = len(order)
-    index = {p: k for k, pair in enumerate(order) for p in pair}
+    handle = {p: (k, 1 if p == pair[0] else -1) for k, pair in enumerate(order) for p in pair}
     m = _identity(n)
     rename_at = {pos: dict(pairs) for pos, pairs in seq.renames}
 
     def rename(pos: int) -> None:
         ren = rename_at.get(pos, {})
-        moved = {old: index.pop(old) for old in ren if old in index}
-        index.update((ren[old], slot) for old, slot in moved.items())
+        moved = {old: handle.pop(old) for old in ren if old in handle}
+        handle.update((ren[old], h) for old, h in moved.items())
 
     for k, sl in enumerate(seq.slides):
         rename(k)
-        h_slid, h_over, s = _elementary_sign(sl.diagram, sl.slid, sl.over)
-        col, row = index[h_slid[0]], index[h_over[0]]
+        s = _elementary_sign(handle, sl.slid, sl.over)
+        col, row = handle[sl.slid][0], handle[sl.over][0]
         for r in range(n):
             m[r][col] += s * m[r][row]
     rename(len(seq.slides))
     cols = []
     for x, _ in order:
         i, j = start.position(x)
-        ex = end.intervals[i][j]
-        cols.append((index[ex], 1 if end.handle_of(ex)[0] == ex else -1))
+        cols.append(handle[end.intervals[i][j]])
     return tuple(tuple(flip * row[c] for c, flip in cols) for row in m)
 
 

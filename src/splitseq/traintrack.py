@@ -20,11 +20,11 @@ local, so it commutes with lifting: a lifted torus cycle is a cycle again.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import add, sub
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .numberfield import (
     NFElement,

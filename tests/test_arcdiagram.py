@@ -10,6 +10,7 @@ x^2 - 3x + 1.
 """
 
 import dataclasses
+import hashlib
 import random
 from math import prod
 from pathlib import Path
@@ -47,7 +48,7 @@ from splitseq.arcdiagram import (
 )
 from splitseq.bounds import bound_report
 from splitseq.splitting import ReplayMismatch, SplitCase, SplitEvent, find_agol_cycle, split
-from splitseq.traintrack import parse_track, regions
+from splitseq.traintrack import cover_track, parse_track, regions
 from trackgen import torus_word_state
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -75,6 +76,12 @@ def least_mark(t) -> SpecialMark:
     return SpecialMark(
         frozenset(min(c.switch for c in reg.cusps) for reg in regions(t))
     )
+
+
+def recorded(d, slid, over) -> Arcslide:
+    """The slide of ``slid`` across ``over``, recorded at its place in d."""
+    i, ja = d.position(slid)
+    return Arcslide(slid, over, (i, ja, d.position(over)[1]))
 
 
 def rot_min(seq):
@@ -292,8 +299,10 @@ def test_split_to_arcslides_are_two_slides():
     _, _, _, ev = split(t, m, "c")
     d = arc_diagram_from_track(t)
     (first, second), _ = split_slides(d, ev)
-    assert first.diagram == d
-    assert second.diagram == first.apply()
+    # each slide is recorded in the diagram it starts from
+    assert first == recorded(d, first.slid, first.over)
+    mid = arcslide(d, first.slid, first.over)
+    assert second == recorded(mid, second.slid, second.over)
     assert {first.slid, second.slid} == {"b.1", "b.0"}  # the two small ends
     assert {first.over, second.over} == {"c.0", "c.1"}
 
@@ -438,6 +447,50 @@ def test_bounds_and_factorize_decide_no_split_again(monkeypatch, name):
     assert signs == []
 
 
+@pytest.mark.parametrize(
+    "name, stars", [("torus_anosov.track", ("u", "v")), ("genus2_cycle.track", ("v0", "u0", "u1"))]
+)
+def test_factorize_builds_one_diagram_per_split(monkeypatch, name, stars):
+    # slides run on interval lists: one diagram per split event, plus a few
+    # per call (start, relabelled period end, transported special diagram,
+    # one per routed frame) that do not grow with the period
+    t, m = load(name)
+    cyc = find_agol_cycle(t, m, 64)
+    ceiling = sum(len(g) for g in cyc.events) + 3 + len(regions(cyc.start_track))
+    built = []
+    real = ArcDiagram.__post_init__
+    monkeypatch.setattr(ArcDiagram, "__post_init__", lambda d: built.append(d) or real(d))
+    for star in stars:
+        built.clear()
+        factorize(cyc, SpecialMark(frozenset({star})))
+        assert 0 < len(built) <= ceiling
+
+
+def _sequence_digest(seq) -> str:
+    state = repr((serialize_sequence(seq), seq.renames, h1_action(seq)))
+    return hashlib.sha256(state.encode()).hexdigest()
+
+
+def test_genus2_factorization_is_pinned():
+    t, m = load("genus2_cycle.track")
+    seq = factorize(find_agol_cycle(t, m, 10), SpecialMark(frozenset({"v0"})))
+    assert _sequence_digest(seq) == (
+        "1a332a8a3a8cf30073189650850da1a12c9027f6a76b3e6aea5e621ea1d34e24"
+    )
+
+
+def test_genus3_lift_factorization_is_pinned():
+    # the d = 5 lift of RRL pinned in test_splitting: slide positions,
+    # renames and the full (uncapped) action, under its least mark
+    t, m = torus_word_state("RRL")
+    perms = {"a": (0, 1, 2, 3, 4), "b": (1, 0, 2, 4, 3), "c": (3, 1, 0, 4, 2)}
+    cyc = find_agol_cycle(*cover_track(t, m, perms), 400)
+    seq = factorize(cyc, least_mark(cyc.start_track))
+    assert _sequence_digest(seq) == (
+        "3a636703a865756f56a90f0784ad14fcf0ab4f7524f41d7d5150cdf42abc1eb0"
+    )
+
+
 def torus_word_cycle(word: str):
     return find_agol_cycle(*torus_word_state(word), 200)
 
@@ -508,14 +561,13 @@ def test_slide_and_inverse_cap_to_identity():
     t, _ = load("torus_anosov.track")
     sg = SpecialMark(frozenset({"u"}))
     d = special_arc_diagram(t, sg)
-    first = Arcslide(d, "b.0", "c.1")
-    mid = first.apply()
-    second = Arcslide(mid, "b.0", "c.0")
-    assert second.apply() == d
+    mid = arcslide(d, "b.0", "c.1")
+    end = arcslide(mid, "b.0", "c.0")
+    assert end == d
     seq = ArcslideSequence(
         start=d,
-        slides=(first, second),
-        end=second.apply(),
+        slides=(recorded(d, "b.0", "c.1"), recorded(mid, "b.0", "c.0")),
+        end=end,
     )
     full, capped = h1_action(seq)
     n = len(full)

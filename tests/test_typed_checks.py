@@ -54,3 +54,21 @@ def test_every_exception_class_is_raised():
     classes, raised = _exception_classes_and_raises()
     assert len(classes) >= 30
     assert sorted(f"{name} ({where})" for name, where in classes.items() if name not in raised) == []
+
+
+def test_no_unused_imports_in_the_package():
+    # stdlib ast only: every imported name must be read in its module, as a
+    # name or as the base of an attribute (whose base is a name node too)
+    found, checked = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        checked.append(path.name)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name != "annotations" and name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert {"traintrack.py", "arcdiagram.py"} <= set(checked)
+    assert found == []

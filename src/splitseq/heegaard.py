@@ -21,6 +21,15 @@ Drawing conventions.  Every count below depends on these and nothing else:
   ties resolved toward the low end.
 * Between two consecutive arc crossings, a branch half crosses exactly one
   dual-graph wall: the one running through its own dual edge.
+* A wall crossing the dual edge of ``b`` in gap ``g`` has below it the
+  region at ``(b, 0)`` when g = 0, else the side of the component through
+  point g-1 that faces the gap; above it the region at ``(b, 1)`` when
+  g = n, else the facing side of the component through point g.  A
+  component crossing a point from the triangle at ``(b, 1 - end)`` into the
+  one at ``(b, end)`` has its side ``end`` (0 left, 1 right) above the
+  point.  Where the half ``(name, d)`` of a wall runs through a segment
+  entered from triangle side ``eps``, the face traced along that half (on
+  its left) holds what lies above the gap exactly when eps == d.
 """
 
 from __future__ import annotations
@@ -416,39 +425,15 @@ def _seg_node(geom: _Geom, seg: Seg, e: BranchEnd):
     return ("C", geom.t.switch_of(e).name)
 
 
-def _check_spine_connected(geom: _Geom) -> None:
-    adj: dict = {}
-    for b in geom.t.branches:
-        for g in range(geom.n[b] + 1):
-            n0 = _seg_node(geom, (b, g), BranchEnd(b, 0))
-            n1 = _seg_node(geom, (b, g), BranchEnd(b, 1))
-            adj.setdefault(n0, set()).add(n1)
-            adj.setdefault(n1, set()).add(n0)
-    seen: set = set()
-    for start in sorted(adj, key=repr):
-        if start in seen:
-            continue
-        stack, piece = [start], {start}
-        while stack:
-            node = stack.pop()
-            for nb in adj[node]:
-                if nb not in piece:
-                    piece.add(nb)
-                    stack.append(nb)
-        seen |= piece
-        if not any(node[0] == "C" for node in piece):
-            raise ComponentWithoutSwitch(
-                "a band of the cut surface avoids every switch; "
-                "the system contains parallel copies of a curve"
-            )
-
-
 def _central_seg(geom: _Geom, e: BranchEnd) -> Seg:
     lo, _hi = geom.side_corners(e)
     return (e.branch, geom.a[lo])
 
 
 def _build_edges(geom: _Geom) -> dict[str, GraphEdge]:
+    """Walk the corridor of stack nodes from every switch side to the next
+    switch.  Every stack node meets two segments, so a segment no walk
+    claims lies on a band of stacks that avoids every switch."""
     node_segs: dict = {}
     for b in geom.t.branches:
         for g in range(geom.n[b] + 1):
@@ -483,6 +468,11 @@ def _build_edges(geom: _Geom) -> dict[str, GraphEdge]:
                 if len(pair) != 1:
                     raise InconsistentDrawing(f"stack node {node} is not a corridor")
                 cur, side = pair[0]
+    if len(claimed) != sum(geom.n[b] + 1 for b in geom.t.branches):
+        raise ComponentWithoutSwitch(
+            "a band of the cut surface avoids every switch; "
+            "the system contains parallel copies of a curve"
+        )
     edges = {}
     for k, (end_a, end_b, segs) in enumerate(sorted(raw)):
         edges[f"g{k}"] = GraphEdge(name=f"g{k}", ends=(end_a, end_b), segments=segs)
@@ -490,7 +480,8 @@ def _build_edges(geom: _Geom) -> dict[str, GraphEdge]:
 
 
 def _trace_faces(edges: dict[str, GraphEdge], alive: set) -> list:
-    """Boundary walks of the complement.  Each is a list of (name, dir)."""
+    """Boundary walks of the complement.  Each is a list of (name, dir)
+    starting at its least half; the walks come in increasing order."""
     slots: dict[tuple[str, int], tuple[str, int]] = {}
     for name in sorted(alive):
         for d, end in enumerate(edges[name].ends):
@@ -524,122 +515,41 @@ def _trace_faces(edges: dict[str, GraphEdge], alive: set) -> list:
     return faces
 
 
-def _cyclic_key(seq: Sequence) -> tuple:
-    tup = tuple(seq)
-    return min(tuple(tup[i:] + tup[:i]) for i in range(len(tup)))
+def _face_items(geom: _Geom, edges: dict[str, GraphEdge], faces: list) -> list:
+    """The one region point (an int) or curve side (component, 0 left /
+    1 right) inside each traced face, read off the gaps its walls cross.
+    That every gap of every wall names the same item audits the drawing
+    conventions above."""
+    through: dict[tuple[str, int], tuple[int, int]] = {}
+    for ci, steps in enumerate(geom.comps):
+        for _arc, (e, q), _ext, _legs in steps:
+            through[(e.branch, q)] = (ci, e.end)
 
+    def item(b: str, g: int, above: bool):
+        if above:
+            if g == geom.n[b]:
+                return geom.side_of[BranchEnd(b, 1)]
+            ci, end = through[(b, g)]
+            return (ci, 1 - end)
+        if g == 0:
+            return geom.side_of[BranchEnd(b, 0)]
+        return through[(b, g - 1)]
 
-def _group_runs(edges, seg_home, items):
-    """Collapse an alternating (segment / node) cycle into edge visits.
-
-    items: cyclic list of ("seg", Seg, entry side) and ("C", switch).  The
-    entry side is the triangle side facing the node the walk came from; it
-    pins down the traversal direction even for one-segment corridors.
-    Returns the visit walk [(edge name, dir)] and corner list [switch].
-    """
-    cs = [i for i, it in enumerate(items) if it[0] == "C"]
-    if not cs:
-        raise InconsistentDrawing("a walk meets no switch")
-    walk, corners = [], []
-    for a, b in zip(cs, cs[1:] + [cs[0] + len(items)]):
-        corners.append(items[a % len(items)][1])
-        run = [items[i % len(items)][1:] for i in range(a + 1, b)]
-        if not run:
-            raise InconsistentDrawing("two switch visits with no wall between them")
-        name = seg_home[run[0][0]]
-        segs = edges[name].segments
-        fwd = len(run) == len(segs) and all(
-            r[0] == s and r[1].end == eps for r, (s, eps) in zip(run, segs)
-        )
-        rev = len(run) == len(segs) and all(
-            r[0] == s and r[1].end == 1 - eps
-            for r, (s, eps) in zip(run, reversed(segs))
-        )
-        if fwd == rev:
-            raise InconsistentDrawing(f"run {run} does not traverse corridor {name} cleanly")
-        walk.append((name, 0 if fwd else 1))
-    # corners trail the visit they follow
-    return tuple(walk), tuple(corners[1:] + corners[:1])
-
-
-def _type1_items(geom: _Geom, ri: int):
-    items = []
-    corners = geom.region_corners[ri]
-    gaps = geom.region_gaps[ri]
-    for pos, corner in enumerate(corners):
-        if geom.a[corner] == 0:
-            items.append(("C", corner[0]))
-        h = gaps[pos]
-        g = 0 if h.end == 0 else geom.n[h.branch]
-        items.append(("seg", (h.branch, g), BranchEnd(h.branch, 1 - h.end)))
-    return items
-
-
-def _type2_items(geom: _Geom, ci: int, side: int):
-    """side 0: left of the travel direction, side 1: right."""
-    steps = geom.comps[ci]
-    segs: list[Seg] = []
-    entries: list[BranchEnd] = []
-    for _arc, (e, q), _ext, _legs in steps:
-        if side == 0:
-            g = q + 1 if e.end == 0 else q
-        else:
-            g = q if e.end == 0 else q + 1
-        segs.append((e.branch, g))
-        entries.append(BranchEnd(e.branch, 1 - e.end))
-    items = []
-    for idx, (_arc, (e, _q), ext, _legs) in enumerate(steps):
-        nxt = segs[(idx + 1) % len(segs)]
-        node = _seg_node(geom, segs[idx], e)
-        node2 = _seg_node(geom, nxt, ext[0])
-        if node != node2:
-            raise InconsistentDrawing(f"side walk breaks inside triangle: {node} vs {node2}")
-        items.append(("seg", segs[idx], entries[idx]))
-        if node[0] == "C":
-            items.append(("C", node[1]))
-    return items
-
-
-def _initial_contents(geom: _Geom, edges: dict[str, GraphEdge], faces: list):
-    """Match the constructed region and curve-side walks onto the traced
-    faces.  The bijection doubles as a consistency audit of every drawing
-    convention above."""
-    seg_home = {}
-    for name, edge in edges.items():
-        seg_home[edge.segments[0][0]] = name
-        seg_home[edge.segments[-1][0]] = name
-
-    lookup = {}
-    for fi, face in enumerate(faces):
-        lookup[_cyclic_key(face)] = fi
-
-    def locate(walk: tuple) -> int:
-        key = _cyclic_key(walk)
-        if key in lookup:
-            return lookup[key]
-        flipped = tuple((name, 1 - d) for name, d in reversed(walk))
-        key = _cyclic_key(flipped)
-        if key in lookup:
-            return lookup[key]
-        raise InconsistentDrawing(f"no traced face matches walk {walk}")
-
-    contents: dict[int, dict] = {
-        fi: {"regions": [], "sides": []} for fi in range(len(faces))
-    }
-    for ri in range(len(geom.regs)):
-        walk, _corners = _group_runs(edges, seg_home, _type1_items(geom, ri))
-        contents[locate(walk)]["regions"].append(ri)
-    for ci in range(len(geom.comps)):
-        for side in (0, 1):
-            walk, _corners = _group_runs(
-                edges, seg_home, _type2_items(geom, ci, side)
-            )
-            contents[locate(walk)]["sides"].append((ci, side))
-    if any(len(v["regions"]) + len(v["sides"]) != 1 for v in contents.values()):
+    out = []
+    for walk in faces:
+        found = {
+            item(b, g, eps == d)
+            for name, d in walk
+            for (b, g), eps in edges[name].segments
+        }
+        if len(found) != 1:
+            raise InconsistentDrawing(f"the walls of face {walk} disagree on its contents")
+        out.extend(found)
+    if len(set(out)) != len(out) or len(out) != len(geom.regs) + 2 * len(geom.comps):
         raise InconsistentDrawing(
             "initial faces must carry exactly one region point or curve side each"
         )
-    return contents
+    return out
 
 
 def _find_type1_bigon(geom: _Geom) -> Optional[tuple[int, int, int]]:
@@ -718,20 +628,6 @@ def _push_across(basis: NormalBasis, hit) -> NormalBasis:
     return normalize_basis(geom.t, new_curves)
 
 
-class _UnionFind:
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        self.parent[self.find(x)] = self.find(y)
-
-
 def dual_graph(t: TrainTrack, basis: NormalBasis) -> ReducedGraph:
     """Reduced dual graph of the surface cut along the system.
 
@@ -739,10 +635,12 @@ def dual_graph(t: TrainTrack, basis: NormalBasis) -> ReducedGraph:
     walls of one-visit and two-visit faces until every face is combinatorially
     at least a triangle or is bounded by a single wall.  Every round works on
     the drawing its basis carries; a slide returns a basis with a new one.
+    The walls are built every round, as that refuses a band without a switch
+    before any slide.
     """
     for _round in range(64 + 8 * t.l):
         geom = basis.geom
-        _check_spine_connected(geom)
+        edges = _build_edges(geom)
         hit = _find_type1_bigon(geom)
         if hit is None:
             break
@@ -750,31 +648,18 @@ def dual_graph(t: TrainTrack, basis: NormalBasis) -> ReducedGraph:
     else:
         raise SlidesDidNotConverge("corner slides did not converge")
 
-    edges = _build_edges(geom)
     alive = set(edges)
-    walks0 = _trace_faces(edges, alive)
-    contents0 = _initial_contents(geom, edges, walks0)
-    half_home = {}
-    for fi, walk in enumerate(walks0):
-        for half in walk:
-            half_home[half] = fi
-    uf = _UnionFind(len(walks0))
-
-    def class_sides(name: str) -> int:
-        root = uf.find(half_home[(name, 0)])
-        tally = 0
-        for fi in range(len(walks0)):
-            if uf.find(fi) == root:
-                tally += len(contents0[fi]["sides"])
-        return tally
-
+    walks = _trace_faces(edges, alive)
+    home = {half: fi for fi, walk in enumerate(walks) for half in walk}
+    # deleting a wall merges the zones of its two sides: the initial faces
+    # now inside one face, and the curve sides they carry
+    zone = list(range(len(walks)))
+    zone_sides = [[it] if isinstance(it, tuple) else [] for it in _face_items(geom, edges, walks)]
     while True:
-        walks = _trace_faces(edges, alive)
-        target = None
         monos = sorted(w[0][0] for w in walks if len(w) == 1)
         if monos:
             target = monos[0]
-            if class_sides(target) == 0:
+            if not zone_sides[zone[home[(target, 0)]]]:
                 raise NotMinimal(
                     "a region point sits in a one-wall face; "
                     "the system is not of minimal length"
@@ -788,38 +673,33 @@ def dual_graph(t: TrainTrack, basis: NormalBasis) -> ReducedGraph:
             if not bigs:
                 break
             target = bigs[0][0]
-        uf.union(half_home[(target, 0)], half_home[(target, 1)])
+        z0, z1 = zone[home[(target, 0)]], zone[home[(target, 1)]]
+        if z0 != z1:
+            zone = [z1 if z == z0 else z for z in zone]
+            zone_sides[z1] += zone_sides[z0]
         alive.remove(target)
+        walks = _trace_faces(edges, alive)
 
     if not alive:
         raise ValueError("reduction deleted every wall; system too small")
 
-    final_walks = _trace_faces(edges, alive)
-    seen_roots: dict[int, int] = {}
+    seen: set[int] = set()
     faces = []
-    for walk in sorted(final_walks, key=_cyclic_key):
-        roots = {uf.find(half_home[half]) for half in walk}
-        if len(roots) != 1:
+    for walk in walks:
+        zones = {zone[home[half]] for half in walk}
+        if len(zones) != 1:
             raise InconsistentDrawing("face walk spans several merged zones")
-        (root,) = roots
-        if root in seen_roots:
+        (z,) = zones
+        if z in seen:
             raise ValueError(
                 "reduction produced a face with disconnected boundary"
             )
-        seen_roots[root] = 1
-        sides_in = []
-        for fi in range(len(walks0)):
-            if uf.find(fi) == root:
-                sides_in.extend(contents0[fi]["sides"])
-        corners = []
-        for half in walk:
-            name, d = half
-            corners.append(edges[name].ends[1 - d][0])
+        seen.add(z)
         faces.append(
             GraphFace(
                 walk=tuple(walk),
-                corners=tuple(corners),
-                inside_sides=tuple(sorted(sides_in)),
+                corners=tuple(edges[name].ends[1 - d][0] for name, d in walk),
+                inside_sides=tuple(sorted(zone_sides[z])),
             )
         )
 

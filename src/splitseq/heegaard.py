@@ -16,9 +16,12 @@ Drawing conventions.  Every count below depends on these and nothing else:
   the region at arrival ``(b, 0)`` toward the region at ``(b, 1)``.
 * Inside a triangle, the k-th arc from a corner occupies the k-th point
   from that corner on both adjacent sides (arcs are nested, innermost k=1).
-* Branch ``b`` crosses its dual edge once, in the gap after ``cut[b]``
-  points; the cut minimises the system crossings of the two branch halves,
-  ties resolved toward the low end.
+* On each side of a triangle the low and high corner stacks fill all n
+  points.  Branch ``b`` crosses its dual edge once, in the gap after
+  ``cut[b]`` points, the smaller of its two low stacks: the least cut
+  that minimises the system crossings of the two branch halves.  So the
+  cut never lies above a low stack, and a half meets arcs of its low
+  corner only.
 * Between two consecutive arc crossings, a branch half crosses exactly one
   dual-graph wall: the one running through its own dual edge.
 * A wall crossing the dual edge of ``b`` in gap ``g`` has below it the
@@ -135,7 +138,10 @@ class _Geom:
             self.region_gaps.append(tuple(gaps))
 
         self._fill_points()
-        self._choose_cuts()
+        self.cut: dict[str, int] = {
+            b: min(self.a[self.side_corners(BranchEnd(b, eps))[0]] for eps in (0, 1))
+            for b in t.branches
+        }
         self._trace()
 
     def side_corners(self, e: BranchEnd) -> tuple[Corner, Corner]:
@@ -166,20 +172,6 @@ class _Geom:
         if len(self.point_arc) != 2 * sum(self.n.values()):
             raise InconsistentDrawing("arcs do not claim every crossing point")
 
-    def _choose_cuts(self) -> None:
-        self.cut: dict[str, int] = {}
-        for b in self.t.branches:
-            n = self.n[b]
-
-            def cost(p: int) -> int:
-                tot = 0
-                for e in (BranchEnd(b, 0), BranchEnd(b, 1)):
-                    lo, hi = self.side_corners(e)
-                    tot += max(0, self.a[lo] - p) + max(0, self.a[hi] - (n - p))
-                return tot
-
-            self.cut[b] = min(range(n + 1), key=lambda p: (cost(p), p))
-
     def corner_depth(self, e: BranchEnd, corner: Corner) -> int:
         """Points left between the cut of branch e.branch and this corner."""
         lo, hi = self.side_corners(e)
@@ -189,24 +181,11 @@ class _Geom:
             return self.n[e.branch] - self.cut[e.branch]
         raise InconsistentDrawing(f"{corner} is not adjacent to side {e}")
 
-    def leg_items(self, e: BranchEnd) -> tuple:
-        """Arc and wall crossings of the branch half at this switch, ordered
-        from the switch outward to the cut."""
-        b = e.branch
-        n, p = self.n[b], self.cut[b]
-        lo, hi = self.side_corners(e)
-        out = []
-        if p < self.a[lo]:
-            for k in range(self.a[lo], p, -1):
-                out.append(("arc", lo, k))
-                if k - 1 > p:
-                    out.append(("wall", (b, k - 1)))
-        elif n - p < self.a[hi]:
-            for k in range(self.a[hi], n - p, -1):
-                out.append(("arc", hi, k))
-                if k - 1 > n - p:
-                    out.append(("wall", (b, n - (k - 1))))
-        return tuple(out)
+    def leg_walls(self, e: BranchEnd) -> range:
+        """Gaps whose walls the branch half at this switch crosses between
+        its arc crossings: those strictly between the cut and the low stack."""
+        lo, _hi = self.side_corners(e)
+        return range(self.cut[e.branch] + 1, self.a[lo])
 
     def _trace(self) -> None:
         self.comps: list[list] = []
@@ -788,65 +767,22 @@ class BorderedSuturedDiagram:
     pieces: tuple[TubePiece, ...] = ()
 
 
-def _ring_items(geom: _Geom, w: str):
-    """Cyclic boundary order around a switch: corner marks, wall exits and
-    branch legs, rotating with the triangle."""
+def _ring_from_cusp(geom: _Geom, w: str) -> list:
+    """Wall exits and branch legs in circle order around a switch, read
+    from just after the cusp corner.  On an end-1 side the leg comes first,
+    unless the cut meets the low stack."""
     tri = geom.tris[w]
     ring = []
-    for i in range(3):
-        ring.append(("corner", (i - 1) % 3))
+    for i in ((tri.cusp + 1) % 3, (tri.cusp + 2) % 3, tri.cusp):
         e = tri.word[i]
         lo, _hi = geom.side_corners(e)
-        p_wall = geom.a[lo]
-        p_leg = geom.cut[e.branch]
-        wall = ("wall", i)
-        leg = ("leg", e)
-        if p_wall == p_leg:
-            pair = [wall, leg]
-        elif e.end == 0:
-            pair = [wall, leg] if p_wall > p_leg else [leg, wall]
-        else:
-            pair = [wall, leg] if p_wall < p_leg else [leg, wall]
-        ring.extend(pair)
+        pair = [("wall", i), ("leg", e)]
+        ring += pair if e.end == 0 or geom.cut[e.branch] == geom.a[lo] else pair[::-1]
     return ring
 
 
-def _detach_legs(geom: _Geom, w: str, slot: int) -> list[BranchEnd]:
-    """Branch legs crossed between the plain suture arc and a wall exit,
-    taking the shorter way around the circle; returned from the suture
-    outward to the exit."""
-    tri = geom.tris[w]
-    ring = _ring_items(geom, w)
-    start = ring.index(("wall", slot))
-    cusp = ("corner", tri.cusp)
-    paths = []
-    for step in (1, -1):
-        legs = []
-        pos = start
-        while True:
-            pos = (pos + step) % len(ring)
-            item = ring[pos]
-            if item == cusp:
-                break
-            if item[0] == "leg":
-                legs.append(item[1])
-        paths.append(legs)
-    fwd, back = paths
-    best = fwd if len(fwd) <= len(back) else back
-    return list(reversed(best))
-
-
-def _long_way_legs(geom: _Geom, w: str) -> list[BranchEnd]:
-    """All three branch legs in circle order, starting after the cusp."""
-    ring = _ring_items(geom, w)
-    tri = geom.tris[w]
-    start = ring.index(("corner", tri.cusp))
-    legs = []
-    for off in range(1, len(ring) + 1):
-        item = ring[(start + off) % len(ring)]
-        if item[0] == "leg":
-            legs.append(item[1])
-    return legs
+def _legs(items) -> list[BranchEnd]:
+    return [e for kind, e in items if kind == "leg"]
 
 
 def build_diagram(
@@ -891,15 +827,8 @@ def build_diagram(
         for b, _eps in comp.crossings:
             add(f"a1.{b}", f"bc{ci}")
 
-    # wall arcs: interior crossings plus detachment at both ends
-    wall_legs: dict[Seg, set[BranchEnd]] = {}
-    for b in t.branches:
-        for eps in (0, 1):
-            e = BranchEnd(b, eps)
-            for item in geom.leg_items(e):
-                if item[0] == "wall":
-                    wall_legs.setdefault(item[1], set()).add(e)
-
+    # wall arcs: detachment at both ends, taking the shorter way around the
+    # circle from the exit to the plain suture arc, plus interior crossings
     arc_ends: list[tuple[str, tuple[str, str]]] = []
     for edge in graph.edges:
         label = f"b1.{edge.name}"
@@ -908,15 +837,18 @@ def build_diagram(
             if hug[w]:
                 end_crossings += 1
                 add(f"a2.{w}", label)
-            for e in _detach_legs(geom, w, slot):
+            ring = _ring_from_cusp(geom, w)
+            k = ring.index(("wall", slot))
+            after, before = _legs(ring[k + 1:]), _legs(ring[:k])
+            for e in after if len(after) <= len(before) else before:
                 end_crossings += 1
                 add(f"a1.{e.branch}", label)
         if end_crossings > 8:
             raise BoundViolated(f"wall arc {label} has {end_crossings} end crossings, cap 8")
-        for seg, first in edge.segments:
-            for eps in (first, 1 - first):
-                if BranchEnd(seg[0], eps) in wall_legs.get(seg, ()):
-                    add(f"a1.{seg[0]}", label)
+        for (b, gap), _first in edge.segments:
+            for eps in (0, 1):
+                if gap in geom.leg_walls(BranchEnd(b, eps)):
+                    add(f"a1.{b}", label)
         arc_ends.append((label, (edge.ends[0][0], edge.ends[1][0])))
 
     # spare circles: the long way around, once per switch off the image
@@ -927,7 +859,7 @@ def build_diagram(
         if hug[w]:  # met once on each side of the legs
             add(f"a2.{w}", label)
             add(f"a2.{w}", label)
-        for e in _long_way_legs(geom, w):
+        for e in _legs(_ring_from_cusp(geom, w)):
             add(f"a1.{e.branch}", label)
         arc_ends.append((label, (w, w)))
 

@@ -1,4 +1,4 @@
-"""Splitting and folding moves, with exact carried-measure bookkeeping.
+"""Splitting moves, with exact carried-measure bookkeeping.
 
 A large branch (both ends in large position) splits three ways depending on
 the exact comparison of the two diagonal weights; the resulting track is
@@ -48,10 +48,6 @@ class NotLargeBranch(ValueError):
 
 class InvalidMeasure(ValueError):
     """Measure fails switch conditions, nonnegativity, or positivity."""
-
-
-class NotFoldable(ValueError):
-    """Event does not describe an unfoldable split of this track."""
 
 
 class NoLargeBranch(ValueError):
@@ -194,7 +190,8 @@ def _move_marks(t: TrainTrack, moved: dict[CuspRef, CuspRef]) -> tuple[CuspRef, 
 
 
 def _replace_switches(t: TrainTrack, drop: set[str], add: list[Switch]) -> list[Switch]:
-    # keep list positions stable so inverse moves restore the exact tuple
+    # a new switch takes its namesake's list position; a dropped switch
+    # without one leaves the list
     by_name = {sw.name: sw for sw in add}
     out: list[Switch] = []
     for sw in t.switches:
@@ -286,43 +283,6 @@ def split_surgery(t: TrainTrack, branch: str, case: SplitCase) -> tuple[TrainTra
     switches = tuple(_replace_switches(t, {u.name, v.name}, new))
     t2 = TrainTrack(branches, switches, t.genus, _move_marks(t, moved))
     return t2, _elem_with_row(t, branches, branch, row_ends, track_id(t), track_id(t2))
-
-
-def fold(t2: TrainTrack, m2: Measure, event: SplitEvent) -> tuple[TrainTrack, Measure]:
-    """Undo a Left or Right split, trading the end switches' cusps and marks
-    back; the Central case is not measure-determined."""
-    if event.case is SplitCase.CENTRAL:
-        raise NotFoldable("central splits do not fold back")
-    f = event.branch
-    if f not in t2.branches:
-        raise NotFoldable(f"unknown branch {f!r}")
-    f0, f1 = BranchEnd(f, 0), BranchEnd(f, 1)
-    u2, v2 = t2.switch_of(f0), t2.switch_of(f1)
-    if u2.name == v2.name or not (u2.is_generic and v2.is_generic):
-        raise NotFoldable("diagonal does not join two distinct trivalent switches")
-    if event.case is SplitCase.LEFT:
-        if u2.small_left != f0 or v2.small_left != f1:
-            raise NotFoldable("track does not match a left split along this branch")
-        P, T = u2.large, u2.small_right
-        R, Q = v2.large, v2.small_right
-    else:
-        if u2.small_right != f0 or v2.small_right != f1:
-            raise NotFoldable("track does not match a right split along this branch")
-        Q, R = u2.large, u2.small_left
-        T, P = v2.large, v2.small_left
-    u = Switch.trivalent(u2.name, f0, P, Q)
-    v = Switch.trivalent(v2.name, f1, R, T)
-    switches = _replace_switches(t2, {u2.name, v2.name}, [u, v])
-    cu, cv = CuspRef(u2.name, 0), CuspRef(v2.name, 0)
-    t = TrainTrack(t2.branches, tuple(switches), t2.genus, _move_marks(t2, {cu: cv, cv: cu}))
-    weights = m2.as_dict()
-    weights[f] = m2.weight(f) + m2.weight(T.branch) + m2.weight(Q.branch) \
-        if event.case is SplitCase.LEFT \
-        else m2.weight(f) + m2.weight(P.branch) + m2.weight(R.branch)
-    m = Measure.of(m2.field, weights)
-    if not check_measure(t, m):
-        raise NotFoldable("folded measure violates switch conditions")
-    return t, m
 
 
 def maximal_split(

@@ -262,17 +262,6 @@ class Region:
     def cusps(self) -> tuple[CuspRef, ...]:
         return tuple(c for c in self.corner_cusps if c is not None)
 
-    def edges(self) -> tuple[tuple[BranchEnd, ...], ...]:
-        """Maximal smooth arcs: runs of boundary steps between cusps."""
-        n = len(self.boundary)
-        if self.cusp_count == 0:
-            return (self.boundary,)
-        cusp_pos = [k for k in range(n) if self.corner_cusps[k] is not None]
-        out = []
-        for a, b in zip(cusp_pos, cusp_pos[1:] + [cusp_pos[0] + n]):
-            out.append(tuple(self.boundary[(k + 1) % n] for k in range(a, b)))
-        return tuple(out)
-
 
 def _rotate_min(boundary, corners):
     # corners[k] is a function of boundary[k], so keying on boundary suffices
@@ -814,8 +803,9 @@ def track_isomorphisms(t1: TrainTrack, t2: TrainTrack) -> list[TrackIso]:
     lab1 = labs1[0]
     inv_b1 = {v: k for k, v in lab1.branch_map.items()}  # (idx, flip) -> branch
     inv_s1 = {v: k for k, v in lab1.switch_map.items()}
+    # each labelling of t2 starts at a different branch end, so no two
+    # composed isomorphisms agree
     out = []
-    seen = set()
     for lab2 in labs2:
         inv_b2 = {idx: (b, flip) for b, (idx, flip) in lab2.branch_map.items()}
         inv_s2 = {idx: s for s, idx in lab2.switch_map.items()}
@@ -826,8 +816,5 @@ def track_isomorphisms(t1: TrainTrack, t2: TrainTrack) -> list[TrackIso]:
         switches = tuple(
             sorted((s1, inv_s2[idx]) for s1, idx in lab1.switch_map.items())
         )
-        iso = TrackIso(tuple(sorted(branches)), switches)
-        if iso.branches not in seen:
-            seen.add(iso.branches)
-            out.append(iso)
+        out.append(TrackIso(tuple(sorted(branches)), switches))
     return out

@@ -35,9 +35,12 @@ from splitseq.bounds import (
 from splitseq.heegaard import (
     ComponentWithoutSwitch,
     EmptyCurve,
+    GraphFace,
+    HallViolation,
     InconsistentDrawing,
     NotDisjoint,
     NotMinimal,
+    ReducedGraph,
     SlidesDidNotConverge,
     attach_tube_cutting,
     build_diagram,
@@ -48,7 +51,7 @@ from splitseq.heegaard import (
     verify_bound,
 )
 from splitseq.splitting import find_agol_cycle
-from splitseq.traintrack import parse_track
+from splitseq.traintrack import BranchEnd, parse_track
 
 FIXTURES = Path(__file__).parent / "fixtures"
 STARS = {"torus_anosov": "u", "genus2_hex": "s0", "genus2_tie": "s0", "genus2_cycle": "v0"}
@@ -161,6 +164,93 @@ def test_heegaard_corpus_is_pinned():
     assert digest.hexdigest() == (
         "86fe884c6f29e3298dee693c2859d89776ae8b3697790265434ed9fc886db173"
     )
+
+
+@pytest.mark.parametrize("name, top, bases", [("torus_anosov", 8, 132), ("genus2_hex", 2, 228)])
+def test_cut_is_the_smaller_low_stack(name, top, bases):
+    # every compatible vector with small entries, alone and as two parallel
+    # copies: the low and high stacks of a triangle side fill its points,
+    # the cut is the least minimiser of the crossings of the two branch
+    # halves, and the legs cross the system at most `length` times, so the
+    # guard on 2 * length in normalize_basis never fires
+    t = load(name)
+    seen = 0
+    for v in itertools.product(range(top + 1), repeat=t.l):
+        try:
+            if curve_length(NormalCurve(v), t) == 0:
+                continue
+        except IncompatibleCoordinates:
+            continue
+        for curve in (NormalCurve(v), NormalCurve(tuple(2 * x for x in v), 2)):
+            try:
+                basis = normalize_basis(t, [curve])
+            except (EmptyCurve, NotDisjoint):
+                basis = None
+            geom = basis.geom if basis else heegaard._Geom(t, dict(zip(t.branches, curve.coords)))
+            check_cuts(geom)
+            if basis:
+                seen += 1
+                assert sum(len(c.crossings) for c in basis.components) <= basis.length
+    assert seen == bases
+
+
+def check_cuts(geom):
+    for b in geom.t.branches:
+        n = geom.n[b]
+        sides = [geom.side_corners(BranchEnd(b, eps)) for eps in (0, 1)]
+        assert all(geom.a[lo] + geom.a[hi] == n for lo, hi in sides)
+        cost = [
+            sum(max(0, geom.a[lo] - p) + max(0, geom.a[hi] - (n - p)) for lo, hi in sides)
+            for p in range(n + 1)
+        ]
+        assert geom.cut[b] == min(geom.a[lo] for lo, _hi in sides) == cost.index(min(cost))
+
+
+def test_sigma_prime_refuses_two_faces_on_one_switch():
+    # Hall's condition fails: two faces share their only corner switch
+    t = load("torus_anosov")
+    face = GraphFace(walk=(("g0", 0),), corners=("u",), inside_sides=())
+    graph = ReducedGraph(basis=normalize_basis(t, [(1, 0, 1)]), edges=(), faces=(face, face))
+    with pytest.raises(HallViolation, match="injectively"):
+        sigma_prime(graph)
+
+
+@pytest.fixture(scope="module")
+def torus_report():
+    t, m = parse_track((FIXTURES / "torus_anosov.track").read_text())
+    return bound_report(find_agol_cycle(t, m, 10))
+
+
+@pytest.mark.parametrize(
+    "target, field, note",
+    [
+        ("diagram", "pieces", "no tube pieces attached"),
+        ("diagram", "basis_length", "exceeds the cap"),
+        ("diagram", "m", "components exceed 2g"),
+        ("diagram", "genus", "genus mismatch"),
+        ("report", "dd", "exceeds the ceiling"),
+    ],
+)
+def test_verify_bound_notes_each_failure(torus_report, target, field, note):
+    # the pinned torus diagram passes; one changed field fails it with one note
+    report = torus_report
+    d = diagram("torus_anosov", (1, 0, 1))
+    cut, gens = attach_tube_cutting(d, count_generators(d))
+    assert verify_bound(cut, report).passed
+    value = {
+        "pieces": (),
+        "basis_length": report.M_psi + 1,
+        "m": 2 * report.g + 1,
+        "genus": report.g + 1,
+        "dd": gens.count - 1,
+    }[field]
+    if target == "diagram":
+        cut = dataclasses.replace(cut, **{field: value})
+    else:
+        report = dataclasses.replace(report, **{field: value})
+    check = verify_bound(cut, report)
+    assert not check.passed
+    assert len(check.notes) == 1 and note in check.notes[0]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Split and fold moves; carrying matrices; periodic cycle detection."""
+"""Split moves; carrying matrices; periodic cycle detection."""
 
 import hashlib
 import random
@@ -24,14 +24,12 @@ from splitseq.splitting import (
     InvalidMeasure,
     NoCycleWithinBudget,
     NoLargeBranch,
-    NotFoldable,
     NotLargeBranch,
     SplitCase,
     SplitEvent,
     _match_states,
     _state_key,
     find_agol_cycle,
-    fold,
     incidence_compose,
     large_branches,
     maximal_split,
@@ -43,6 +41,7 @@ from splitseq.traintrack import (
     BranchEnd,
     CuspRef,
     Measure,
+    NotGeneric,
     Switch,
     TrainTrack,
     check_measure,
@@ -141,6 +140,16 @@ def test_central_split_deletes_branch():
     assert check_measure(t2, m2)
 
 
+def test_merged_switch_has_no_trivalent_roles():
+    # the 4-valent switch a central split leaves has no large or small end
+    t, _ = torus()
+    t2, _ = split_surgery(t, "c", SplitCase.CENTRAL)
+    (sw,) = t2.switches
+    for role in ("large", "small_left", "small_right"):
+        with pytest.raises(NotGeneric, match="not trivalent"):
+            getattr(sw, role)
+
+
 def test_split_preserves_genus_and_regions():
     t, m = torus()
     t1, m1, _, _ = split(t, m, "c")
@@ -165,35 +174,6 @@ def test_split_rejects_invalid_measure():
     bad["a"] = bad["a"] + nf_const(m.field, 1)
     with pytest.raises(InvalidMeasure):
         split(t, Measure.of(m.field, bad), "c")
-
-
-# ---------------------------------------------------------------------------
-# folds
-
-
-def test_fold_undoes_left_and_right():
-    t = quad_track()
-    for vals in ({"p": 3, "q": 1, "t": 2, "r": 2}, {"p": 1, "q": 3, "t": 4, "r": 0}):
-        m = rational_measure(t, {**vals, "e": vals["p"] + vals["q"], "z": vals["p"] + vals["q"]})
-        t2, m2, _, ev = split(t, m, "e")
-        assert ev.case is not SplitCase.CENTRAL
-        tb, mb = fold(t2, m2, ev)
-        assert tb == t and mb == m
-
-
-def test_fold_rejects_central():
-    with pytest.raises(NotFoldable):
-        fold(*torus(), SplitEvent("c", SplitCase.CENTRAL))
-
-
-def test_fold_rejects_mismatched_event():
-    t, m = torus()
-    t1, m1, _, ev = split(t, m, "c")
-    assert ev.case is SplitCase.RIGHT
-    with pytest.raises(NotFoldable):
-        fold(t1, m1, SplitEvent("c", SplitCase.LEFT))
-    with pytest.raises(NotFoldable):
-        fold(t1, m1, SplitEvent("nope", SplitCase.LEFT))
 
 
 # ---------------------------------------------------------------------------
@@ -261,15 +241,6 @@ def test_central_split_places_a_mark_no_switch_name_could():
     assert placed_punctures(t2) == traced_punctures(t, t2, "b1")
     (region,) = (r for r in regions(t2) if r.punctured)
     assert [ref.switch for ref in region.cusps].count("s3") == 1
-
-
-def test_fold_restores_torus_marks():
-    t, m = torus()
-    t1, m1, _, ev = split(t, m, "c")
-    assert t1.puncture_marks == (CuspRef("v", 0),)
-    tb, mb = fold(t1, m1, ev)
-    assert tb.puncture_marks == t.puncture_marks == (CuspRef("u", 0),)
-    assert (tb, mb) == (t, m)
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +530,6 @@ def test_moves_preserve_structure_on_random_pairs():
             assert len(regions(t2)) == kappa
             assert all(sum(col) >= 1 for col in zip(*elem.entries))
             assert split_surgery(t, b, ev.case) == (t2, elem)
-            if ev.case is not SplitCase.CENTRAL:
-                tb, mb = fold(t2, m2, ev)
-                assert tb == t and mb == m
     assert done == 1000
 
 

@@ -6,6 +6,7 @@ stops guarding anything.
 
 import ast
 import builtins
+import re
 from pathlib import Path
 
 import splitseq
@@ -54,6 +55,15 @@ def test_every_exception_class_is_raised():
     classes, raised = _exception_classes_and_raises()
     assert len(classes) >= 30
     assert sorted(f"{name} ({where})" for name, where in classes.items() if name not in raised) == []
+
+
+def test_every_exception_class_is_named_by_a_test():
+    # every refusal is pinned: some test file names each exception class
+    classes, _raised = _exception_classes_and_raises()
+    words = set()
+    for path in sorted(Path(__file__).parent.rglob("*.py")):
+        words.update(re.findall(r"\w+", path.read_text()))
+    assert sorted(f"{name} ({where})" for name, where in classes.items() if name not in words) == []
 
 
 def test_no_unused_imports_in_the_package():

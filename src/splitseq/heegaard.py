@@ -172,15 +172,6 @@ class _Geom:
         if len(self.point_arc) != 2 * sum(self.n.values()):
             raise InconsistentDrawing("arcs do not claim every crossing point")
 
-    def corner_depth(self, e: BranchEnd, corner: Corner) -> int:
-        """Points left between the cut of branch e.branch and this corner."""
-        lo, hi = self.side_corners(e)
-        if corner == lo:
-            return self.cut[e.branch]
-        if corner == hi:
-            return self.n[e.branch] - self.cut[e.branch]
-        raise InconsistentDrawing(f"{corner} is not adjacent to side {e}")
-
     def leg_walls(self, e: BranchEnd) -> range:
         """Gaps whose walls the branch half at this switch crosses between
         its arc crossings: those strictly between the cut and the low stack."""
@@ -203,11 +194,13 @@ class _Geom:
                 end1, end2 = self.arc_ends[arc]
                 exit_pt = end2 if end1 == (e, q) else end1
                 corner, k = arc
-                legs = []
-                for side in (e, exit_pt[0]):
-                    if k > self.corner_depth(side, corner):
-                        legs.append(side)
-                steps.append((arc, (e, q), exit_pt, tuple(legs)))
+                # a half meets arcs of its low corner only, above the cut
+                legs = tuple(
+                    side
+                    for side in (e, exit_pt[0])
+                    if corner == self.side_corners(side)[0] and k > self.cut[side.branch]
+                )
+                steps.append((arc, (e, q), exit_pt, legs))
                 visited.add((e, q))
                 state = (BranchEnd(exit_pt[0].branch, 1 - exit_pt[0].end), exit_pt[1])
                 if state == start:

@@ -357,6 +357,16 @@ def _reduce(m: tuple[int, ...], raw: list[int]) -> tuple[int, ...]:
     return tuple(raw[:d]) if len(raw) >= d else tuple(raw) + (0,) * (d - len(raw))
 
 
+def _mul_num(f: NumberField, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
+    """Integer coordinates of the product of two integer coordinate vectors."""
+    raw = [0] * (2 * f.degree - 1)
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                raw[i + j] += a * b
+    return _reduce(f.minpoly, raw)
+
+
 def nf_arith(op: str, a: NFElement, b: NFElement) -> NFElement:
     """Exact field arithmetic; results are reduced to canonical coordinates."""
     f = a.field
@@ -370,12 +380,7 @@ def nf_arith(op: str, a: NFElement, b: NFElement) -> NFElement:
             return NFElement(f, tuple(p + q for p, q in zip(x, y)), den)
         return NFElement(f, tuple(p - q for p, q in zip(x, y)), den)
     if op == "mul":
-        raw = [0] * (2 * f.degree - 1)
-        for i, x in enumerate(a.num):
-            if x:
-                for j, y in enumerate(b.num):
-                    raw[i + j] += x * y
-        return NFElement(f, _reduce(f.minpoly, raw), a.den * b.den)
+        return NFElement(f, _mul_num(f, a.num, b.num), a.den * b.den)
     if op == "div":
         return nf_arith("mul", a, _invert(b))
     raise ValueError(f"unknown operation {op!r}")

@@ -5,6 +5,8 @@ the exact comparison of the two diagonal weights; the resulting track is
 carried by the old one and the elementary incidence matrix transports the
 new measure back: m_pre = elem * m_post, coordinatewise in Q(lambda).
 `split_surgery` is the surgery alone, for a case chosen without a measure.
+The large branches of a track are found in one pass over its switches and
+cached on the track, so every guard and the cycle certificate read one set.
 
 A puncture mark names a cusp (`CuspRef`) whose region is punctured, and it
 moves with its cusp corner on every split.  A left or right split trades
@@ -15,9 +17,13 @@ each mark moves to its corner there.
 Iterating maximal splits on a positive measure detects the eventual
 periodicity (preperiod n, period m, a ribbon isomorphism, and a stretch
 factor lambda > 1).  Each state is keyed by its projectivized weights
-alone; only states with equal keys are compared by a ribbon isomorphism,
-so canonical forms are built only when keys collide.  An `AgolCycle`
-certifies its splits once, when built; no later stage decides one again.
+alone, computed in integers: one inversion of the weight sum and one
+integer product per weight, then the primitive integer multiple of the
+point.  That is a canonical form of the projective point, so its classes
+are those of the point's rational coordinates.  Only states with equal
+keys are compared by a ribbon isomorphism, so canonical forms are built
+only when keys collide.  An `AgolCycle` certifies its splits once, when
+built; no later stage decides one again.
 """
 
 from __future__ import annotations
@@ -25,9 +31,18 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd, lcm
 from typing import Optional
 
-from .numberfield import NFElement, _identity, _mat_mul, nf_const, nf_sign
+from .numberfield import (
+    NFElement,
+    _identity,
+    _invert,
+    _mat_mul,
+    _mul_num,
+    nf_const,
+    nf_sign,
+)
 from .traintrack import (
     BranchEnd,
     CuspRef,
@@ -151,29 +166,25 @@ def track_id(t: TrainTrack) -> str:
 # move preconditions
 
 
-def _is_large_end(sw: Switch, e: BranchEnd) -> bool:
-    for side in sw.sides:
-        if e in side:
-            return len(side) == 1
-    return False
+def _large_set(t: TrainTrack) -> frozenset[str]:
+    """The large branches: both ends are the large ends of trivalent
+    switches, necessarily two different ones.  Built in one pass over the
+    switches and cached on the track, outside its fields."""
+    cached = getattr(t, "_large", None)
+    if cached is None:
+        ends = {sw.large for sw in t.switches if sw.is_generic}
+        cached = frozenset(e.branch for e in ends if e.end == 0 and e.other() in ends)
+        object.__setattr__(t, "_large", cached)
+    return cached
 
 
 def is_large_branch(t: TrainTrack, branch: str) -> bool:
-    if branch not in t.branches:
-        return False
-    e0, e1 = BranchEnd(branch, 0), BranchEnd(branch, 1)
-    u, v = t.switch_of(e0), t.switch_of(e1)
-    return (
-        u.name != v.name
-        and u.is_generic
-        and v.is_generic
-        and _is_large_end(u, e0)
-        and _is_large_end(v, e1)
-    )
+    return branch in _large_set(t)
 
 
 def large_branches(t: TrainTrack) -> tuple[str, ...]:
-    return tuple(b for b in t.branches if is_large_branch(t, b))
+    large = _large_set(t)
+    return tuple(b for b in t.branches if b in large)
 
 
 # ---------------------------------------------------------------------------
@@ -368,18 +379,30 @@ class AgolCycle:
 
 
 def _state_key(t: TrainTrack, m: Measure):
-    """The weights of `m` scaled by one 1/(sum of weights), sorted, as
-    (num, den) pairs.
+    """The projective point (w_b / sum of weights)_b as sorted, primitive
+    integer coordinate vectors.
+
+    Cleared to one common denominator, the weights are integer vectors
+    n_b, and their sum inverts once to u / e with e > 0.  Then
+    w_b / sum = n_b u / e: the products n_b u are the point's coordinates
+    times e, and dividing them by the gcd of all their coordinates leaves
+    the point's primitive positive multiple, which depends on the point
+    alone.  The point's coordinates sum to 1, which fixes the multiple, so
+    two states get equal keys exactly when their points, as multisets, are
+    equal: the classes of the rational (num, den) pairs of w_b / sum.
 
     A ribbon isomorphism only permutes branches, and a factor lambda
-    cancels in 1/sum, so projectively isomorphic states get equal keys.
-    The key builds no canonical form; equal keys only pick the candidates
-    that `_match_states`, the one exact test, decides.  The track enters
-    only through that test."""
-    weights = [w for _, w in m.weights]
-    scale = 1 / sum(weights[1:], weights[0])
-    scaled = (w * scale for w in weights)
-    return tuple(sorted((s.num, s.den) for s in scaled))
+    cancels in the point, so projectively isomorphic states get equal
+    keys.  The key builds no canonical form; equal keys only pick the
+    candidates that `_match_states`, the one exact test, decides.  The
+    track enters only through that test."""
+    f = m.field
+    den = lcm(*(w.den for _, w in m.weights))
+    nums = [[c * (den // w.den) for c in w.num] for _, w in m.weights]
+    inv = _invert(NFElement(f, tuple(map(sum, zip(*nums)))))
+    vecs = [_mul_num(f, v, inv.num) for v in nums]
+    g = gcd(*(c for v in vecs for c in v))
+    return tuple(sorted(tuple(c // g for c in v) for v in vecs))
 
 
 def _match_states(
@@ -404,8 +427,9 @@ def find_agol_cycle(t: TrainTrack, m: Measure, max_iters: int) -> AgolCycle:
     Returns the first recurrence (n, m) in iteration order together with the
     ribbon isomorphism, the stretch factor, and the period incidence matrix.
     Earlier states are looked up by `_state_key`, a filter on the weights
-    only; `_match_states` decides each candidate exactly, earliest first,
-    so the key never changes which recurrence is found.
+    only: an integer key per state, equal exactly when the states' points
+    w_b / sum are equal.  `_match_states` decides each candidate exactly,
+    earliest first, so the key never changes which recurrence is found.
     """
     if set(m.names) != set(t.branches):
         raise FieldMismatch("measure branch set does not match track")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_text
+from conftest import FIXTURES, fixture_text
 from splitseq import splitting
 from splitseq.numberfield import (
     _is_primitive,
@@ -31,6 +31,7 @@ from splitseq.splitting import (
     _state_key,
     find_agol_cycle,
     incidence_compose,
+    is_large_branch,
     large_branches,
     maximal_split,
     split,
@@ -52,7 +53,7 @@ from splitseq.traintrack import (
     track_isomorphisms,
     validate,
 )
-from state_key_oracle import canonical_state_key
+from state_key_oracle import canonical_state_key, rational_state_key
 from trackgen import (
     RATIONALS,
     build_track,
@@ -64,6 +65,11 @@ from trackgen import (
     some_track,
     torus_word_state,
 )
+
+
+# connected covers of the torus track, as branch permutations: genus 2 and 3
+COVER_D3 = {"a": (0, 1, 2), "b": (0, 2, 1), "c": (1, 2, 0)}
+COVER_D5 = {"a": (0, 1, 2, 3, 4), "b": (1, 0, 2, 4, 3), "c": (3, 1, 0, 4, 2)}
 
 
 def torus():
@@ -174,6 +180,81 @@ def test_split_rejects_invalid_measure():
     bad["a"] = bad["a"] + nf_const(m.field, 1)
     with pytest.raises(InvalidMeasure):
         split(t, Measure.of(m.field, bad), "c")
+
+
+# ---------------------------------------------------------------------------
+# the large-branch set
+
+
+def per_branch_is_large(t, b) -> bool:
+    """The per-branch predicate the set replaced: distinct end switches,
+    both trivalent, and each end alone on its side."""
+    ends = (BranchEnd(b, 0), BranchEnd(b, 1))
+    u, v = (t.switch_of(e) for e in ends)
+    return (
+        u.name != v.name
+        and u.is_generic
+        and v.is_generic
+        and all(len(next(s for s in sw.sides if e in s)) == 1 for sw, e in zip((u, v), ends))
+    )
+
+
+def oracle_large(t) -> tuple[str, ...]:
+    return tuple(b for b in t.branches if per_branch_is_large(t, b))
+
+
+def split_chain(t, m, steps=200):
+    """The tracks of up to `steps` maximal splits from (t, m)."""
+    tracks = [t]
+    for _ in range(steps):
+        try:
+            t, m, _, _ = maximal_split(t, m)
+        except NoLargeBranch:
+            break
+        tracks.append(t)
+    return tracks
+
+
+def test_large_branches_match_the_per_branch_predicate():
+    rng = random.Random(35)
+    tracks = [parse_track(fixture_text(p.name))[0] for p in sorted(FIXTURES.glob("*.track"))]
+    tracks += [some_track(seed) for seed in range(200)]
+    starts = [torus_word_state(w) for w in ("RRL", "RLLRRRL", "RRRRLLLL")]
+    starts += [cover_track(*torus_word_state("RRL"), COVER_D3)]
+    starts += [parse_track(fixture_text("genus2_cycle.track"))]
+    for name in ("genus2_44.track", "genus2_tie.track"):
+        t, _ = parse_track(fixture_text(name))
+        starts += [(t, positive_measure(t, rng)) for _ in range(3)]
+    for t, m in starts:
+        tracks += split_chain(t, m)
+    assert len(tracks) > 1000 and any(not t.is_generic for t in tracks)
+    for t in tracks:
+        larges = large_branches(t)
+        assert larges == oracle_large(t)
+        assert [b for b in t.branches + ("nope",) if is_large_branch(t, b)] == list(larges)
+
+
+def test_large_set_is_built_once_per_track(monkeypatch):
+    # every build reads the large end of each trivalent switch once; track
+    # ids hash the repr here, which reads no large end
+    reads = []
+    real = Switch.large
+    monkeypatch.setattr(Switch, "large", property(lambda sw: reads.append(sw) or real.fget(sw)))
+    monkeypatch.setattr(splitting, "serialize_track", repr)
+    t, m = torus()
+    cyc = find_agol_cycle(t, m, 10)
+    # one build per split track; the guards and the certificate only read it
+    assert len(reads) == 2 * (cyc.n + cyc.m)
+    for split_t in split_chain(*parse_track(fixture_text("genus2_tie.track")), 20):
+        t = with_marks(split_t, split_t.puncture_marks)  # an equal track, fresh cache
+        reads.clear()
+        larges = large_branches(t)
+        for b in t.branches:
+            is_large_branch(t, b)
+        for b in larges:
+            split_surgery(t, b, SplitCase.LEFT)
+        assert large_branches(t) == larges
+        assert len(reads) == sum(sw.is_generic for sw in t.switches)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +453,7 @@ def test_genus2_lift_cycle():
 def test_genus3_lift_cycle_is_pinned():
     # the d = 5 lift of RRL; only the cycle is pinned, as its BoundReport's
     # integers are too long to print
-    t, m = torus_word_state("RRL")
-    perms = {"a": (0, 1, 2, 3, 4), "b": (1, 0, 2, 4, 3), "c": (3, 1, 0, 4, 2)}
-    t3, m3 = cover_track(t, m, perms)
+    t3, m3 = cover_track(*torus_word_state("RRL"), COVER_D5)
     c = find_agol_cycle(t3, m3, 400)
     assert (t3.genus, t3.l, c.n, c.m) == (3, 15, 0, 6)
     state = repr((c.n, c.m, c.lam, c.events, c.iso, c.cycle_matrix, c.period_elems))
@@ -490,8 +569,28 @@ def test_cycles_agree_with_the_canonical_form_key(monkeypatch):
     states = oracle_states()
     got = [cycle_outcome(t, m) for t, m in states]
     assert sum(isinstance(out, tuple) for out in got) >= 301  # every torus state certifies
-    monkeypatch.setattr(splitting, "_state_key", canonical_state_key)
-    assert [cycle_outcome(t, m) for t, m in states] == got
+    for key in (canonical_state_key, rational_state_key):
+        monkeypatch.setattr(splitting, "_state_key", key)
+        assert [cycle_outcome(t, m) for t, m in states] == got
+
+
+def test_integer_key_classes_are_the_rational_key_classes(monkeypatch):
+    rng = random.Random("integer key")
+    words = ["".join(rng.choice("RL") for _ in range(rng.randint(3, 16))) for _ in range(200)]
+    starts = [torus_word_state(w) for w in words if "R" in w and "L" in w]
+    starts += [cover_track(*torus_word_state(w), COVER_D3) for w in ("RRL", "RLLRL")]
+    starts += [cover_track(*torus_word_state("RRL"), COVER_D5)]
+    # every state the cycle search keys
+    states = []
+    real = splitting._state_key
+    monkeypatch.setattr(splitting, "_state_key", lambda t, m: states.append((t, m)) or real(t, m))
+    for t, m in starts:
+        find_agol_cycle(t, m, 400)
+    pairs = {(_state_key(t, m), rational_state_key(t, m)) for t, m in states}
+    ints, rats = {k for k, _ in pairs}, {r for _, r in pairs}
+    # a bijection between the classes; every search ends on a repeated key
+    assert len(pairs) == len(ints) == len(rats)
+    assert len(ints) <= len(states) - len(starts)
 
 
 def test_a_constant_key_finds_the_same_torus_cycles(monkeypatch):

@@ -9,15 +9,20 @@ boundary splits into one positive arc per interval (the top and upper
 half-sides of its rectangle) and negative arcs that snake along the bottoms
 and through the bands.
 
-A generic filling train track yields such a diagram: one interval per
-switch, namely the small circle around the switch cut open inside the cusp
-sector, so the points along it read [small_left, large, small_right] in the
-circle's boundary orientation.  The matching pairs the two ends of every
-branch.  Under this dictionary the negative boundary arcs of F trace the
-complementary regions of the track: arriving at a point we dive through its
-band and surface just past the partner, which is word for word the face map
-used by ``traintrack.regions``.  Boundary components of F therefore
-correspond to regions, with one positive arc per cusp of the region.
+``special_arc_diagram`` builds one from a generic filling train track and
+a ``SpecialMark``, a starred cusp switch in each complementary region.
+Each switch gives an interval, the small circle around it cut open inside
+the cusp sector, whose points read [small_left, large, small_right] in the
+circle's boundary orientation, and the two ends of every branch are
+matched.  Those handles alone make the negative boundary arcs of F trace
+the regions, by the face map of ``traintrack.regions``, with one positive
+arc per cusp.  Every unstarred switch w then gets a frame handle, whose
+feet w.L and w.R bracket its three points.  A region's arc closes up
+through the frames, so only its starred switch keeps a positive arc on
+the region's component, and each frame adds one component with one
+positive arc of its own.  The diagram is therefore special: one positive
+and one negative arc on each of its (regions + unstarred switches)
+boundary components, and chi(F) = regions - branches.
 
 Splitting a branch moves exactly two points, each sliding over an end of
 the split branch and landing next to the opposite end: a pair of arcslides.
@@ -143,10 +148,6 @@ class ArcDiagram:
     def position(self, p: str) -> tuple[int, int]:
         return self._position_map()[p]
 
-    @property
-    def euler_characteristic(self) -> int:
-        return len(self.intervals) - len(self.matching)
-
     # -- boundary tracing ----------------------------------------------------
     def _walk(self, i: int) -> tuple[int, list[tuple[tuple[str, str], int]], int]:
         """Trace one negative arc from the head gap of interval i.
@@ -207,14 +208,6 @@ class ArcDiagram:
             )
         return tuple(out)
 
-    def is_special(self) -> bool:
-        """One positive and one negative arc on every boundary component."""
-        return all(len(cyc) == 1 for cyc, _ in self.boundary_components())
-
-    def validate(self) -> None:
-        """Raise MalformedDiagram if the negative boundary closes up."""
-        self.boundary_components()
-
 
 def same_pattern(a: ArcDiagram, b: ArcDiagram) -> bool:
     """Structural equality: interval sizes and the matching under position.
@@ -234,23 +227,6 @@ def same_pattern(a: ArcDiagram, b: ArcDiagram) -> bool:
 
 # ---------------------------------------------------------------------------
 # construction from tracks
-
-
-def _track_points(sw) -> tuple[str, ...]:
-    # circle around the switch, cut open inside the cusp sector
-    return (str(sw.small_left), str(sw.large), str(sw.small_right))
-
-
-def arc_diagram_from_track(t: TrainTrack) -> ArcDiagram:
-    """One interval per switch, one handle per branch.
-
-    chi(F) = s - l, and the boundary components of F correspond to the
-    complementary regions of the track, one positive arc per cusp.
-    """
-    intervals = tuple(_track_points(sw) for sw in t.switches)
-    matching = tuple((f"{b}.0", f"{b}.1") for b in t.branches)
-    labels = tuple(sw.name for sw in t.switches)
-    return ArcDiagram(intervals, matching, labels)
 
 
 @dataclass(frozen=True)
@@ -301,7 +277,8 @@ def special_arc_diagram(t: TrainTrack, sigma: SpecialMark) -> ArcDiagram:
     intervals = []
     matching = [(f"{b}.0", f"{b}.1") for b in t.branches]
     for sw in t.switches:
-        pts = _track_points(sw)
+        # circle around the switch, cut open inside the cusp sector
+        pts = (str(sw.small_left), str(sw.large), str(sw.small_right))
         if sw.name not in sigma.switches:
             x, y = _frame_names(sw.name)
             pts = (x,) + pts + (y,)
@@ -355,19 +332,6 @@ def _slide(rows: list[list[str]], d: ArcDiagram, slid: str, over: str) -> Arcsli
     # slid sat above over, so it lands below the partner, and vice versa
     rows[ti].insert(tj if ja > jb else tj + 1, slid)
     return Arcslide(slid, over, (ia, ja, jb))
-
-
-def arcslide(d: ArcDiagram, slid: str, over: str) -> ArcDiagram:
-    """Slide the point ``slid`` across its neighbor ``over``.
-
-    The slid point lands beside the partner of ``over`` on the side
-    opposite the one it left (above the partner if it sat below, and vice
-    versa), keeping its own name and matching.  Sliding back across the
-    partner restores the original diagram on the nose.
-    """
-    rows = [list(pts) for pts in d.intervals]
-    _slide(rows, d, slid, over)
-    return _with_rows(d, rows)
 
 
 def _elementary_sign(handle: dict[str, tuple[int, int]], slid: str, over: str) -> int:
@@ -676,19 +640,15 @@ def h1_action(
         for pair, c in chain:
             v[idx[pair]] = c
         bclasses.append(in_cycle_coords(v))
-    if not any(any(b) for b in bclasses):
-        capped = tuple(tuple(row) for row in m_cycles)
-    else:
-        dmat = [[b[i] for b in bclasses] for i in range(r)]
-        s, u, uinv, rank = _diagonalize(dmat)
-        if any(abs(s[t][t]) != 1 for t in range(rank)):
-            raise NotALoop("boundary classes do not split off; capping failed")
-        umu = _mat_mul(_mat_mul(u, m_cycles), uinv)
-        for i in range(rank, r):
-            for j in range(rank):
-                if umu[i][j]:
-                    raise NotALoop("action does not preserve boundary classes")
-        capped = tuple(tuple(umu[i][j] for j in range(rank, r)) for i in range(rank, r))
+    s, u, uinv, rank = _diagonalize([[b[i] for b in bclasses] for i in range(r)])
+    if any(abs(s[t][t]) != 1 for t in range(rank)):
+        raise NotALoop("boundary classes do not split off; capping failed")
+    umu = _mat_mul(_mat_mul(u, m_cycles), uinv)
+    for i in range(rank, r):
+        for j in range(rank):
+            if umu[i][j]:
+                raise NotALoop("action does not preserve boundary classes")
+    capped = tuple(tuple(umu[i][j] for j in range(rank, r)) for i in range(rank, r))
     det = _det_int([list(row) for row in capped])
     if det not in (1, -1):
         raise NotALoop(f"capped action has determinant {det}")
@@ -713,24 +673,6 @@ def _route_frames(
             d, moved = _move_frame(d, w_from=m2[r], w_to=m1[r])
             slides.extend(moved)
     return d, slides
-
-
-def boundary_adjustment(
-    sigma1: SpecialMark, sigma2: SpecialMark, t: TrainTrack
-) -> ArcslideSequence:
-    """Slides carrying the special diagram of ``sigma1`` to ``sigma2``'s.
-
-    Regions whose star differs get their frame handle walked around the
-    region's boundary arc, back foot first; regions are processed in index
-    order, and their boundary components are disjoint, so the routes never
-    interact.  Equal marks give the empty sequence.
-    """
-    start = special_arc_diagram(t, sigma1)
-    d, slides = _route_frames(start, t, sigma1, sigma2)
-    target = special_arc_diagram(t, sigma2)
-    if not same_pattern(d, target):
-        raise NotALoop("adjustment did not reach the target diagram")
-    return ArcslideSequence(start, tuple(slides), d)
 
 
 def _iso_renames(iso: TrackIso, t_end: TrainTrack) -> dict[str, str]:

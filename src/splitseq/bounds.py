@@ -263,23 +263,18 @@ def c_prime(t: TrainTrack) -> int:
     return max(lens) if lens else 0
 
 
-def curve_length(curve: NormalCurve, t: Optional[TrainTrack] = None) -> int:
+def curve_length(curve: NormalCurve, t: TrainTrack) -> int:
     """Total crossings with the dual triangulation; checks the triangle rules."""
-    if t is not None:
-        if len(curve.coords) != t.l:
-            raise DimensionMismatch("coordinate length does not match branch count")
-        idx = {b: j for j, b in enumerate(t.branches)}
-        for sw in t.switches:
-            sides = [curve.coords[idx[e.branch]] for e in sw.ccw()]
-            if sum(sides) % 2:
-                raise IncompatibleCoordinates(
-                    f"odd crossing total around switch {sw.name}"
-                )
-            for i, x in enumerate(sides):
-                if 2 * x > sum(sides):
-                    raise IncompatibleCoordinates(
-                        f"triangle inequality fails at switch {sw.name}"
-                    )
+    if len(curve.coords) != t.l:
+        raise DimensionMismatch("coordinate length does not match branch count")
+    idx = {b: j for j, b in enumerate(t.branches)}
+    for sw in t.switches:
+        sides = [curve.coords[idx[e.branch]] for e in sw.ccw()]
+        if sum(sides) % 2:
+            raise IncompatibleCoordinates(f"odd crossing total around switch {sw.name}")
+        for x in sides:
+            if 2 * x > sum(sides):
+                raise IncompatibleCoordinates(f"triangle inequality fails at switch {sw.name}")
     return sum(curve.coords)
 
 

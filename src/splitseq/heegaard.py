@@ -91,16 +91,6 @@ Seg = tuple  # (branch name, gap index 0..n)
 # triangle-by-triangle geometry of a curve system
 
 
-class _Tri:
-    """The three branch ends around one switch, in rotation order."""
-
-    def __init__(self, sw) -> None:
-        self.switch: str = sw.name
-        self.word: tuple[BranchEnd, ...] = sw.ccw()
-        # corner between the two small ends, which are adjacent in the word
-        self.cusp = self.word.index(sw.small_right)
-
-
 class _Geom:
     """Canonical realisation of a compatible coordinate vector.  Sums of
     compatible vectors are compatible, so the union of a checked system
@@ -114,12 +104,13 @@ class _Geom:
         for ri, reg in enumerate(self.regs):
             for h in reg.boundary:
                 self.side_of[h] = ri
-        self.tris = {sw.name: _Tri(sw) for sw in t.switches}
+        # the three branch ends around each switch, in rotation order
+        self.words: dict[str, tuple[BranchEnd, ...]] = {sw.name: sw.ccw() for sw in t.switches}
 
         # corner arc counts
         self.a: dict[Corner, int] = {}
-        for w, tri in self.tris.items():
-            ns = [n[e.branch] for e in tri.word]
+        for w, word in self.words.items():
+            ns = [n[e.branch] for e in word]
             for c in range(3):
                 self.a[(w, c)] = (ns[c] + ns[(c + 1) % 3] - ns[(c + 2) % 3]) // 2
 
@@ -132,7 +123,7 @@ class _Geom:
             T = len(reg.boundary)
             for pos, h in enumerate(reg.boundary):
                 w = t.switch_of(h).name
-                corners.append((w, self.tris[w].word.index(h)))
+                corners.append((w, self.words[w].index(h)))
                 gaps.append(reg.boundary[(pos + 1) % T])
             self.region_corners.append(tuple(corners))
             self.region_gaps.append(tuple(gaps))
@@ -146,19 +137,19 @@ class _Geom:
 
     def side_corners(self, e: BranchEnd) -> tuple[Corner, Corner]:
         """Corners adjacent to this triangle side: (at low end, at high end)."""
-        tri = self.tris[self.t.switch_of(e).name]
-        i = tri.word.index(e)
-        nxt = (tri.switch, i)
-        prv = (tri.switch, (i - 1) % 3)
+        w = self.t.switch_of(e).name
+        i = self.words[w].index(e)
+        nxt = (w, i)
+        prv = (w, (i - 1) % 3)
         return (nxt, prv) if e.end == 0 else (prv, nxt)
 
     def _fill_points(self) -> None:
         self.point_arc: dict[tuple[BranchEnd, int], tuple[Corner, int]] = {}
         self.arc_ends: dict[tuple[Corner, int], tuple] = {}
-        for w, tri in self.tris.items():
+        for w, word in self.words.items():
             for c in range(3):
-                e1 = tri.word[c]
-                e2 = tri.word[(c + 1) % 3]
+                e1 = word[c]
+                e2 = word[(c + 1) % 3]
                 n1, n2 = self.n[e1.branch], self.n[e2.branch]
                 for k in range(1, self.a[(w, c)] + 1):
                     q1 = k - 1 if e1.end == 0 else n1 - k
@@ -229,7 +220,7 @@ class _Geom:
         arcs = [step[0] for step in self.comps[ci]]
         verts = set()
         for (w, c), _k in arcs:
-            verts.add(self.side_of[self.tris[w].word[c]])
+            verts.add(self.side_of[self.words[w][c]])
         if len(verts) != 1:
             return None
         (v,) = verts
@@ -417,9 +408,7 @@ def _build_edges(geom: _Geom) -> dict[str, GraphEdge]:
     claimed: set[Seg] = set()
     raw = []
     for sw in geom.t.switches:
-        tri = geom.tris[sw.name]
-        for i in range(3):
-            e = tri.word[i]
+        for i, e in enumerate(geom.words[sw.name]):
             first = _central_seg(geom, e)
             if first in claimed:
                 continue
@@ -432,9 +421,7 @@ def _build_edges(geom: _Geom) -> dict[str, GraphEdge]:
                 node = _seg_node(geom, cur, far)
                 if node[0] == "C":
                     w2 = node[1]
-                    tri2 = geom.tris[w2]
-                    i2 = tri2.word.index(far)
-                    raw.append(((sw.name, i), (w2, i2), tuple(run)))
+                    raw.append(((sw.name, i), (w2, geom.words[w2].index(far)), tuple(run)))
                     break
                 pair = [item for item in node_segs[node] if item[0] != cur]
                 if len(pair) != 1:
@@ -610,6 +597,8 @@ def dual_graph(t: TrainTrack, basis: NormalBasis) -> ReducedGraph:
     The walls are built every round, as that refuses a band without a switch
     before any slide.
     """
+    if t is not basis.geom.t and t != basis.geom.t:
+        raise ValueError("basis was drawn on another track; pass the track of normalize_basis")
     for _round in range(64 + 8 * t.l):
         geom = basis.geom
         edges = _build_edges(geom)
@@ -764,10 +753,12 @@ def _ring_from_cusp(geom: _Geom, w: str) -> list:
     """Wall exits and branch legs in circle order around a switch, read
     from just after the cusp corner.  On an end-1 side the leg comes first,
     unless the cut meets the low stack."""
-    tri = geom.tris[w]
+    word = geom.words[w]
+    # the cusp corner lies between the two small ends, adjacent in the word
+    cusp = word.index(geom.t.switch_of(word[0]).small_right)
     ring = []
-    for i in ((tri.cusp + 1) % 3, (tri.cusp + 2) % 3, tri.cusp):
-        e = tri.word[i]
+    for i in ((cusp + 1) % 3, (cusp + 2) % 3, cusp):
+        e = word[i]
         lo, _hi = geom.side_corners(e)
         pair = [("wall", i), ("leg", e)]
         ring += pair if e.end == 0 or geom.cut[e.branch] == geom.a[lo] else pair[::-1]
@@ -789,6 +780,8 @@ def build_diagram(
     graph = assign.graph
     if graph.basis.union != basis.union or graph.basis.curves != basis.curves:
         raise ValueError("basis does not match the reduced graph; pass graph.basis")
+    if t is not basis.geom.t and t != basis.geom.t:
+        raise ValueError("basis was drawn on another track; pass the track of normalize_basis")
     geom = basis.geom
     rmap = sigma.region_map(t)
     starred = set(rmap.values())

@@ -113,9 +113,8 @@ class CarryingMatrix:
             raise ValueError("entry shape does not match row/col labels")
 
     @staticmethod
-    def identity(branches: tuple[str, ...], track: str = "") -> "CarryingMatrix":
-        ent = tuple(map(tuple, _identity(len(branches))))
-        return CarryingMatrix(branches, branches, ent, track, track)
+    def identity(branches: tuple[str, ...]) -> "CarryingMatrix":
+        return CarryingMatrix(branches, branches, tuple(map(tuple, _identity(len(branches)))))
 
     @staticmethod
     def of_iso(t_from: TrainTrack, t_to: TrainTrack, iso: TrackIso) -> "CarryingMatrix":
@@ -125,21 +124,6 @@ class CarryingMatrix:
             for b in t_from.branches
         )
         return CarryingMatrix(t_from.branches, t_to.branches, ent, track_id(t_from), track_id(t_to))
-
-    def apply(self, m: Measure) -> Measure:
-        """Transport a measure on the later track to the earlier one."""
-        if set(m.names) != set(self.cols):
-            raise ChainMismatch("measure branches do not match matrix columns")
-        zero = nf_const(m.field, 0)
-        out = {}
-        for i, r in enumerate(self.rows):
-            acc = zero
-            for j, c in enumerate(self.cols):
-                k = self.entries[i][j]
-                if k:
-                    acc = acc + (m.weight(c) if k == 1 else nf_const(m.field, k) * m.weight(c))
-            out[r] = acc
-        return Measure.of(m.field, out)
 
 
 def incidence_compose(a: CarryingMatrix, b: CarryingMatrix) -> CarryingMatrix:
@@ -372,10 +356,6 @@ class AgolCycle:
     @property
     def start_track(self) -> TrainTrack:
         return self.period_tracks[0]
-
-    @property
-    def start_measure(self) -> Measure:
-        return self.period_measures[0]
 
 
 def _state_key(t: TrainTrack, m: Measure):

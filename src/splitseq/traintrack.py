@@ -198,12 +198,6 @@ class TrainTrack:
             object.__setattr__(self, "_e2s", cache)
         return cache
 
-    def switch_named(self, name: str) -> Switch:
-        for sw in self.switches:
-            if sw.name == name:
-                return sw
-        raise KeyError(name)
-
     def ccw_next(self, e: BranchEnd) -> BranchEnd:
         word = self.switch_of(e).ccw()
         return word[(word.index(e) + 1) % len(word)]

@@ -36,9 +36,8 @@ from splitseq.arcdiagram import (
     _diagonalize,
     _mat_mul,
     _move_frame,
-    arc_diagram_from_track,
-    arcslide,
-    boundary_adjustment,
+    _route_frames,
+    _slide,
     factorize,
     h1_action,
     same_pattern,
@@ -78,6 +77,40 @@ def least_mark(t) -> SpecialMark:
     )
 
 
+def plain_diagram(t) -> ArcDiagram:
+    """``special_arc_diagram`` without frames: one interval per switch and
+    one handle per branch, so each region's boundary component has one
+    positive arc per cusp of the region."""
+    intervals = tuple((str(sw.small_left), str(sw.large), str(sw.small_right)) for sw in t.switches)
+    matching = tuple((f"{b}.0", f"{b}.1") for b in t.branches)
+    return ArcDiagram(intervals, matching, tuple(sw.name for sw in t.switches))
+
+
+def chi(d) -> int:
+    return len(d.intervals) - len(d.matching)
+
+
+def is_special(d) -> bool:
+    """One positive arc (so one negative arc) on every boundary component."""
+    return all(len(cyc) == 1 for cyc, _ in d.boundary_components())
+
+
+def arcslide(d, slid, over) -> ArcDiagram:
+    """The diagram after one slide of ``slid`` across its neighbor ``over``."""
+    rows = [list(pts) for pts in d.intervals]
+    _slide(rows, d, slid, over)
+    return ArcDiagram(tuple(map(tuple, rows)), d.matching, d.labels)
+
+
+def adjustment(sigma1, sigma2, t) -> ArcslideSequence:
+    """The frame routes from ``sigma1``'s special diagram to ``sigma2``'s."""
+    start = special_arc_diagram(t, sigma1)
+    d, slides = _route_frames(start, t, sigma1, sigma2)
+    if not same_pattern(d, special_arc_diagram(t, sigma2)):
+        raise NotALoop("the routes did not reach the target diagram")
+    return ArcslideSequence(start, tuple(slides), d)
+
+
 def recorded(d, slid, over) -> Arcslide:
     """The slide of ``slid`` across ``over``, recorded at its place in d."""
     i, ja = d.position(slid)
@@ -95,26 +128,25 @@ def rot_min(seq):
 
 def test_torus_plain_diagram():
     t, _ = load("torus_anosov.track")
-    d = arc_diagram_from_track(t)
+    d = plain_diagram(t)
     assert d.intervals == (("b.1", "c.0", "a.1"), ("b.0", "c.1", "a.0"))
     assert d.matching == (("a.0", "a.1"), ("b.0", "b.1"), ("c.0", "c.1"))
     assert d.labels == ("u", "v")
-    assert d.euler_characteristic == -1
+    assert chi(d) == -1
     assert sum(len(p) for p in d.intervals) == 6
-    assert not d.is_special()
+    assert not is_special(d)
 
 
 @pytest.mark.parametrize("name", WELL_FORMED)
 def test_chi_is_s_minus_l(name):
     t, _ = load(name)
-    d = arc_diagram_from_track(t)
-    assert d.euler_characteristic == t.s - t.l
+    assert chi(plain_diagram(t)) == t.s - t.l
 
 
 @pytest.mark.parametrize("name", WELL_FORMED)
 def test_boundary_components_match_regions(name):
     t, _ = load(name)
-    d = arc_diagram_from_track(t)
+    d = plain_diagram(t)
     comps = d.boundary_components()
     regs = regions(t)
     assert len(comps) == len(regs)
@@ -133,7 +165,7 @@ def test_smooth_face_rejected():
     t, _ = load("nonrecurrent.track")
     assert any(r.cusp_count == 0 for r in regions(t))
     with pytest.raises(MalformedDiagram):
-        arc_diagram_from_track(t).validate()
+        plain_diagram(t).boundary_components()
 
 
 def test_malformed_matchings():
@@ -148,7 +180,7 @@ def test_malformed_matchings():
     # handle from an interval's head to its own tail closes S_- up
     d = ArcDiagram((("x", "y"),), (("x", "y"),), ("i",))
     with pytest.raises(MalformedDiagram):
-        d.validate()
+        d.boundary_components()
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +191,7 @@ def test_torus_special_marks():
     t, _ = load("torus_anosov.track")
     for star, framed in (("u", "v"), ("v", "u")):
         sd = special_arc_diagram(t, SpecialMark(frozenset({star})))
-        assert sd.is_special()
+        assert is_special(sd)
         sizes = {lbl: len(pts) for lbl, pts in zip(sd.labels, sd.intervals)}
         assert sizes == {star: 3, framed: 5}
         i = sd.labels.index(framed)
@@ -176,7 +208,7 @@ def test_special_check_on_all_fixtures(name):
     comps = sd.boundary_components()
     assert all(len(cyc) == 1 for cyc, _ in comps)
     assert len(comps) == len(regions(t)) + (t.s - len(sigma.switches))
-    assert sd.euler_characteristic == len(regions(t)) - t.l
+    assert chi(sd) == len(regions(t)) - t.l
 
 
 def test_invalid_marks():
@@ -206,7 +238,7 @@ def test_arcslide_lands_beside_partner():
 
 def test_arcslide_inverse_round_trip():
     t, _ = load("torus_anosov.track")
-    d = arc_diagram_from_track(t)
+    d = plain_diagram(t)
     d2 = arcslide(d, "b.1", "c.0")
     assert d2 != d
     assert arcslide(d2, "b.1", "c.1") == d
@@ -214,7 +246,7 @@ def test_arcslide_inverse_round_trip():
 
 def test_arcslide_errors():
     t, _ = load("torus_anosov.track")
-    d = arc_diagram_from_track(t)
+    d = plain_diagram(t)
     with pytest.raises(NotAdjacent):
         arcslide(d, "b.1", "a.1")  # same interval, not adjacent
     with pytest.raises(NotAdjacent):
@@ -249,8 +281,7 @@ def test_random_slides_preserve_surface_and_invert(seeds):
             continue  # partner pair
         done.append((slid, over))
         d = d2
-        d.validate()
-        assert d.euler_characteristic == base.euler_characteristic
+        assert chi(d) == chi(base)
         assert len(d.boundary_components()) == n_comps
     for slid, over in reversed(done):
         d = arcslide(d, slid, d.partner(over))
@@ -266,7 +297,7 @@ def iter_cycle_splits(name):
     fixture's detected cycle period."""
     t, m = load(name)
     cyc = find_agol_cycle(t, m, 64)
-    t, m = cyc.start_track, cyc.start_measure
+    t, m = cyc.start_track, cyc.period_measures[0]
     for group in cyc.events:
         for ev in group:
             t2, m2, _, got = split(t, m, ev.branch)
@@ -278,8 +309,8 @@ def iter_cycle_splits(name):
 @pytest.mark.parametrize("name", CYCLE_FIXTURES)
 def test_split_slides_round_trip_plain(name):
     for t, _m, ev, t2 in iter_cycle_splits(name):
-        _, d2 = split_slides(arc_diagram_from_track(t), ev)
-        assert d2 == arc_diagram_from_track(t2)
+        _, d2 = split_slides(plain_diagram(t), ev)
+        assert d2 == plain_diagram(t2)
 
 
 @pytest.mark.parametrize("name", CYCLE_FIXTURES)
@@ -291,13 +322,13 @@ def test_split_slides_round_trip_special(name):
             sd = special_arc_diagram(t, sg)
             _, sd2 = split_slides(sd, ev)
             assert sd2 == special_arc_diagram(t2, sg)
-            assert sd2.is_special()
+            assert is_special(sd2)
 
 
 def test_split_to_arcslides_are_two_slides():
     t, m = load("torus_anosov.track")
     _, _, _, ev = split(t, m, "c")
-    d = arc_diagram_from_track(t)
+    d = plain_diagram(t)
     (first, second), _ = split_slides(d, ev)
     # each slide is recorded in the diagram it starts from
     assert first == recorded(d, first.slid, first.over)
@@ -310,7 +341,7 @@ def test_split_to_arcslides_are_two_slides():
 def test_central_split_rejected():
     ev = SplitEvent(branch="c", case=SplitCase.CENTRAL)
     t, _ = load("torus_anosov.track")
-    d = arc_diagram_from_track(t)
+    d = plain_diagram(t)
     with pytest.raises(CentralSplit):
         split_slides(d, ev)
 
@@ -322,7 +353,7 @@ def test_central_split_rejected():
 def test_adjustment_same_mark_is_empty():
     t, _ = load("torus_anosov.track")
     sg = SpecialMark(frozenset({"u"}))
-    seq = boundary_adjustment(sg, sg, t)
+    seq = adjustment(sg, sg, t)
     assert seq.slides == ()
     assert seq.start == seq.end
     full, capped = h1_action(seq)
@@ -334,7 +365,7 @@ def test_adjustment_same_mark_is_empty():
 def test_adjustment_moves_only_frame_points():
     t, _ = load("torus_anosov.track")
     sgu, sgv = SpecialMark(frozenset({"u"})), SpecialMark(frozenset({"v"}))
-    seq = boundary_adjustment(sgu, sgv, t)
+    seq = adjustment(sgu, sgv, t)
     assert seq.slides
     assert all(sl.slid.endswith((".L", ".R")) for sl in seq.slides)
     assert same_pattern(seq.end, special_arc_diagram(t, sgv))
@@ -349,21 +380,21 @@ def test_adjustment_two_regions():
         pytest.skip("fixture regions lack alternative cusps")
     s1 = SpecialMark(frozenset(p[0] for p in picks))
     s2 = SpecialMark(frozenset(p[1] for p in picks))
-    seq = boundary_adjustment(s1, s2, t)
+    seq = adjustment(s1, s2, t)
     assert same_pattern(seq.end, special_arc_diagram(t, s2))
     assert all(sl.slid.endswith((".L", ".R")) for sl in seq.slides)
     # concatenation of two single-region routes
     mid = SpecialMark(frozenset([picks[0][1], picks[1][0]]))
-    first = boundary_adjustment(s1, mid, t)
-    secnd = boundary_adjustment(mid, s2, t)
+    first = adjustment(s1, mid, t)
+    secnd = adjustment(mid, s2, t)
     assert len(seq.slides) == len(first.slides) + len(secnd.slides)
 
 
 def test_adjustment_loop_caps_to_identity():
     t, _ = load("torus_anosov.track")
     sgu, sgv = SpecialMark(frozenset({"u"})), SpecialMark(frozenset({"v"}))
-    s1 = boundary_adjustment(sgu, sgv, t)
-    s2 = boundary_adjustment(sgv, sgu, t)
+    s1 = adjustment(sgu, sgv, t)
+    s2 = adjustment(sgv, sgu, t)
     # the travelling frame keeps its old name; rewire for the return leg
     ren = (("v.L", "u.L"), ("v.R", "u.R"))
     loop = ArcslideSequence(
@@ -380,7 +411,7 @@ def test_adjustment_loop_caps_to_identity():
 def test_h1_rejects_open_sequences():
     t, _ = load("torus_anosov.track")
     sgu, sgv = SpecialMark(frozenset({"u"})), SpecialMark(frozenset({"v"}))
-    seq = boundary_adjustment(sgu, sgv, t)
+    seq = adjustment(sgu, sgv, t)
     with pytest.raises(NotALoop):
         h1_action(seq)
 
@@ -588,7 +619,7 @@ def test_empty_sequence_is_identity():
 def test_serialize_sequence_format():
     t, _ = load("torus_anosov.track")
     sgu, sgv = SpecialMark(frozenset({"u"})), SpecialMark(frozenset({"v"}))
-    seq = boundary_adjustment(sgu, sgv, t)
+    seq = adjustment(sgu, sgv, t)
     text = serialize_sequence(seq)
     assert text == serialize_sequence(seq)
     lines = text.splitlines()

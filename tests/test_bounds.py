@@ -365,7 +365,8 @@ def test_tie_groups_read_the_same_from_the_group_start():
     t, _ = parse_track((FIXTURES / "genus2_tie.track").read_text())
     weights = dict(zip(t.branches, (9, 2, 9, 7, 5, 4, 7, 5, 2)))
     m = Measure.of(RATIONALS, {b: nf_const(RATIONALS, w) for b, w in weights.items()})
-    product = CarryingMatrix.identity(t.branches, track_id(t))
+    tid = track_id(t)
+    product = dataclasses.replace(CarryingMatrix.identity(t.branches), target=tid, source=tid)
     tracks, measures, groups, elems = [t], [m], [], []
     for _ in range(2):
         t2, m2, elem, events = maximal_split(t, m)

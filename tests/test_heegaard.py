@@ -51,7 +51,7 @@ from splitseq.heegaard import (
     verify_bound,
 )
 from splitseq.splitting import find_agol_cycle
-from splitseq.traintrack import BranchEnd, parse_track
+from splitseq.traintrack import BranchEnd, Switch, TrainTrack, parse_track
 
 FIXTURES = Path(__file__).parent / "fixtures"
 STARS = {"torus_anosov": "u", "genus2_hex": "s0", "genus2_tie": "s0", "genus2_cycle": "v0"}
@@ -164,6 +164,32 @@ def test_heegaard_corpus_is_pinned():
     assert digest.hexdigest() == (
         "86fe884c6f29e3298dee693c2859d89776ae8b3697790265434ed9fc886db173"
     )
+
+
+def mirror(t: TrainTrack) -> TrainTrack:
+    """Each switch with the order of both its sides reversed."""
+    switches = tuple(
+        Switch(sw.name, tuple(tuple(reversed(side)) for side in sw.sides)) for sw in t.switches
+    )
+    return dataclasses.replace(t, switches=switches)
+
+
+@pytest.mark.parametrize("other", [mirror, lambda t: load("genus2_hex")], ids=["mirror", "hex"])
+def test_a_track_the_basis_was_not_drawn_on_is_refused(other):
+    # the torus basis of (1,0,1) on its mirror used to give the torus's own
+    # 16 generators (the mirror refuses its own basis of the curve), and on
+    # genus2_hex a misleading face census
+    t = load("torus_anosov")
+    basis = normalize_basis(t, [(1, 0, 1)])
+    wrong = other(t)
+    assert wrong != t
+    with pytest.raises(ValueError, match="drawn on another track"):
+        dual_graph(wrong, basis)
+    graph = dual_graph(load("torus_anosov"), basis)  # an equal track is the same track
+    sigma = SpecialMark(frozenset({"u"}))
+    with pytest.raises(ValueError, match="drawn on another track"):
+        build_diagram(wrong, graph.basis, sigma, sigma_prime(graph))
+    assert count_generators(build_diagram(t, graph.basis, sigma, sigma_prime(graph))).count == 16
 
 
 @pytest.mark.parametrize("name, top, bases", [("torus_anosov", 8, 132), ("genus2_hex", 2, 228)])

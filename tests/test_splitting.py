@@ -1,5 +1,6 @@
 """Split moves; carrying matrices; periodic cycle detection."""
 
+import dataclasses
 import hashlib
 import random
 from collections import Counter
@@ -54,6 +55,7 @@ from splitseq.traintrack import (
     validate,
 )
 from state_key_oracle import canonical_state_key, rational_state_key
+from transport_oracle import transport
 from trackgen import (
     RATIONALS,
     build_track,
@@ -106,7 +108,7 @@ def test_torus_first_split_is_right():
     assert m1.weight("c") == 3 - lam
     assert elem.rows == elem.cols == ("a", "b", "c")
     assert elem.entries == ((1, 0, 0), (0, 1, 0), (0, 2, 1))
-    assert elem.apply(m1) == m
+    assert transport(elem, m1) == m
     assert validate(t1, m1).all_ok
 
 
@@ -118,7 +120,7 @@ def test_torus_second_split_is_left():
     lam = nf_element(m.field, [F(0), F(1)])
     assert m2.weight("a") == 2 * lam - 5
     assert elem.entries == ((1, 0, 2), (0, 1, 0), (0, 0, 1))
-    assert elem.apply(m2) == m1
+    assert transport(elem, m2) == m1
     assert validate(t2, m2).all_ok
 
 
@@ -129,7 +131,7 @@ def test_left_split_local_weights():
     assert ev.case is SplitCase.LEFT
     assert m2.weight("e") == nf_const(RATIONALS, 1)
     assert check_measure(t2, m2)
-    assert elem.apply(m2) == m
+    assert transport(elem, m2) == m
     assert t2.l == t.l and t2.s == t.s
 
 
@@ -142,7 +144,7 @@ def test_central_split_deletes_branch():
     assert t2.s == t.s - 1
     assert not t2.is_generic
     assert len(elem.rows) == t.l and len(elem.cols) == t.l - 1
-    assert elem.apply(m2) == m
+    assert transport(elem, m2) == m
     assert check_measure(t2, m2)
 
 
@@ -332,7 +334,7 @@ def test_maximal_split_torus_argmax():
     t, m = torus()
     t1, m1, elem, events = maximal_split(t, m)
     assert events == (SplitEvent("c", SplitCase.RIGHT),)
-    assert elem.apply(m1) == m
+    assert transport(elem, m1) == m
 
 
 def test_maximal_split_tie_splits_both():
@@ -341,7 +343,7 @@ def test_maximal_split_tie_splits_both():
     assert (m.weight("b0") - m.weight("b2")).is_zero()
     t2, m2, elem, events = maximal_split(t, m)
     assert [ev.branch for ev in events] == ["b0", "b2"]
-    assert elem.apply(m2) == m
+    assert transport(elem, m2) == m
     assert check_measure(t2, m2)
 
 
@@ -380,7 +382,7 @@ def test_incidence_compose_matches_two_step():
     t2, m2, e2, _ = maximal_split(t1, m1)
     both = incidence_compose(e1, e2)
     assert both.entries == ((1, 0, 2), (0, 1, 0), (0, 2, 1))
-    assert both.apply(m2) == m
+    assert transport(both, m2) == m
     assert both.target == track_id(t) and both.source == track_id(t2)
 
 
@@ -400,7 +402,7 @@ def test_track_id_is_computed_once_per_track(monkeypatch):
 def test_incidence_compose_identity_and_errors():
     t, m = torus()
     _, m1, e1, _ = maximal_split(t, m)
-    ident = CarryingMatrix.identity(e1.cols, e1.source)
+    ident = dataclasses.replace(CarryingMatrix.identity(e1.cols), target=e1.source, source=e1.source)
     assert incidence_compose(e1, ident).entries == e1.entries
     wrong = CarryingMatrix(("x",), ("x",), ((1,),))
     with pytest.raises(ChainMismatch):
@@ -429,9 +431,9 @@ def test_agol_cycle_on_torus():
         (SplitCase.LEFT,),
     ]
     assert len(cyc.period_tracks) == 3
-    applied = cyc.cycle_matrix.apply(cyc.start_measure)
+    applied = transport(cyc.cycle_matrix, cyc.period_measures[0])
     for b in t.branches:
-        assert (applied.weight(b) - cyc.lam * cyc.start_measure.weight(b)).is_zero()
+        assert (applied.weight(b) - cyc.lam * cyc.period_measures[0].weight(b)).is_zero()
     assert _is_primitive([list(r) for r in cyc.cycle_matrix.entries]) == 3
 
 
@@ -623,7 +625,7 @@ def test_moves_preserve_structure_on_random_pairs():
         if larges:
             b = larges[0]
             t2, m2, elem, ev = split(t, m, b)
-            assert elem.apply(m2) == m
+            assert transport(elem, m2) == m
             assert check_measure(t2, m2)
             assert derived_genus(t2) == derived_genus(t)
             assert len(regions(t2)) == kappa

@@ -346,8 +346,9 @@ def test_isomorphisms_keep_punctured_regions_punctured():
 
 def _iso_is_valid(t1, t2, iso):
     sw_img = dict(iso.switches)
+    by_name = {sw.name: sw for sw in t2.switches}
     for sw in t1.switches:
-        target = t2.switch_named(sw_img[sw.name])
+        target = by_name[sw_img[sw.name]]
         mapped = Switch(
             target.name,
             tuple(tuple(iso.end_image(e) for e in side) for side in sw.sides),

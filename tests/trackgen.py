@@ -174,7 +174,7 @@ def rename_track(t: TrainTrack, seed: int) -> TrainTrack:
     # renaming branches can reorder a switch's sides, and so its corners
     marks = []
     for name, index in t.puncture_marks:
-        a, b = t.switch_named(name).cusp_corners()[index]
+        a, b = next(sw for sw in t.switches if sw.name == name).cusp_corners()[index]
         new = renamed[name]
         marks.append(CuspRef(new.name, new.cusp_corners().index((rename(a), rename(b)))))
     switches = list(renamed.values())

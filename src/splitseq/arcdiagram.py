@@ -47,6 +47,7 @@ the action on the closed surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .numberfield import _det_int, _identity, _mat_mul
@@ -116,37 +117,27 @@ class ArcDiagram:
             raise MalformedDiagram(f"unmatched points: {sorted(seen - paired)}")
 
     # -- lookups ------------------------------------------------------------
+    @cached_property
     def _maps(self) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
-        cache = getattr(self, "_mc", None)
-        if cache is None:
-            partner: dict[str, str] = {}
-            pair_of: dict[str, tuple[str, str]] = {}
-            for x, y in self.matching:
-                partner[x], partner[y] = y, x
-                pair_of[x] = pair_of[y] = (x, y)
-            cache = (partner, pair_of)
-            object.__setattr__(self, "_mc", cache)
-        return cache
+        partner: dict[str, str] = {}
+        pair_of: dict[str, tuple[str, str]] = {}
+        for x, y in self.matching:
+            partner[x], partner[y] = y, x
+            pair_of[x] = pair_of[y] = (x, y)
+        return partner, pair_of
 
+    @cached_property
     def _position_map(self) -> dict[str, tuple[int, int]]:
-        cache = getattr(self, "_pos", None)
-        if cache is None:
-            cache = {
-                p: (i, j)
-                for i, pts in enumerate(self.intervals)
-                for j, p in enumerate(pts)
-            }
-            object.__setattr__(self, "_pos", cache)
-        return cache
+        return {p: (i, j) for i, pts in enumerate(self.intervals) for j, p in enumerate(pts)}
 
     def partner(self, p: str) -> str:
-        return self._maps()[0][p]
+        return self._maps[0][p]
 
     def handle_of(self, p: str) -> tuple[str, str]:
-        return self._maps()[1][p]
+        return self._maps[1][p]
 
     def position(self, p: str) -> tuple[int, int]:
-        return self._position_map()[p]
+        return self._position_map[p]
 
     # -- boundary tracing ----------------------------------------------------
     def _walk(self, i: int) -> tuple[int, list[tuple[tuple[str, str], int]], int]:
@@ -155,7 +146,7 @@ class ArcDiagram:
         Returns (end interval, signed handle crossings, gaps visited).
         Crossing a handle from its tail to its head counts +1.
         """
-        pos = self._position_map()
+        pos = self._position_map
         j, k = i, 0
         crossings: list[tuple[tuple[str, str], int]] = []
         gaps = 1
@@ -685,11 +676,10 @@ def _iso_renames(iso: TrackIso, t_end: TrainTrack) -> dict[str, str]:
 
 
 def _relabel(
-    d: ArcDiagram, iso: TrackIso, t0: TrainTrack, t_end: TrainTrack
+    d: ArcDiagram, iso: TrackIso, t0: TrainTrack, ren: dict[str, str]
 ) -> ArcDiagram:
-    """Rename points and reorder intervals through a track isomorphism."""
+    """Rename points by `ren` and reorder intervals through the isomorphism."""
     sw_map = dict(iso.switches)
-    ren = _iso_renames(iso, t_end)
 
     def rn(p: str) -> str:
         return ren.get(p, p)
@@ -722,9 +712,8 @@ def factorize(cycle: AgolCycle, sigma: SpecialMark) -> ArcslideSequence:
         for ev in group:
             pair, d = split_slides(d, ev)
             slides.extend(pair)
-    t = cycle.period_tracks[-1]
-    ren = _iso_renames(cycle.iso, t)
-    d = _relabel(d, cycle.iso, t0, t)
+    ren = _iso_renames(cycle.iso, cycle.period_tracks[-1])
+    d = _relabel(d, cycle.iso, t0, ren)
     # splits keep switch names and stars, so only the isomorphism moves them
     sw_map = dict(cycle.iso.switches)
     moved = SpecialMark(frozenset(sw_map[w] for w in sigma.switches))

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .arcdiagram import SpecialMark
@@ -240,30 +241,25 @@ class _Geom:
 
 
 @dataclass(frozen=True)
-class TracedCurve:
-    """One component of the realised system."""
-
-    crossings: tuple[tuple[str, int], ...]  # branch halves met, in travel order
-
-
-@dataclass(frozen=True)
 class NormalBasis:
     """A disjoint curve system in canonical position against the track.
 
     The drawing of the union rides along as `geom`, so later stages reuse
-    it instead of drawing the same system again.
+    it instead of drawing the same system again; the length and the
+    components are read off it.
     """
 
     curves: tuple[NormalCurve, ...]
-    union: tuple[int, ...]
-    components: tuple[TracedCurve, ...]
     assignment: tuple[tuple[int, ...], ...]  # curve index -> component indices
-    length: int
     geom: _Geom = field(compare=False, repr=False)
 
     @property
+    def length(self) -> int:
+        return sum(self.geom.n.values())
+
+    @property
     def m(self) -> int:
-        return len(self.components)
+        return len(self.geom.comps)
 
 
 def _assign_components(
@@ -319,8 +315,7 @@ def normalize_basis(t: TrainTrack, curves: Iterable) -> NormalBasis:
     if not fixed:
         raise EmptyCurve("empty curve system")
 
-    branches = t.branches
-    union = {b: sum(cur.coords[i] for cur in fixed) for i, b in enumerate(branches)}
+    union = {b: sum(cur.coords[i] for cur in fixed) for i, b in enumerate(t.branches)}
     geom = _Geom(t, union)
 
     for ci in range(len(geom.comps)):
@@ -331,24 +326,7 @@ def normalize_basis(t: TrainTrack, curves: Iterable) -> NormalBasis:
             )
 
     comp_coords = [geom.comp_coords(ci) for ci in range(len(geom.comps))]
-    assignment = _assign_components(fixed, comp_coords)
-
-    components = tuple(
-        TracedCurve(tuple((e.branch, e.end) for e in geom.comp_word(ci)))
-        for ci in range(len(geom.comps))
-    )
-    tau = sum(len(c.crossings) for c in components)
-    length = sum(union.values())
-    if tau > 2 * length:
-        raise BoundViolated(f"{tau} leg crossings exceed twice the length {length}")
-    return NormalBasis(
-        curves=tuple(fixed),
-        union=tuple(union[b] for b in branches),
-        components=components,
-        assignment=assignment,
-        length=length,
-        geom=geom,
-    )
+    return NormalBasis(tuple(fixed), _assign_components(fixed, comp_coords), geom)
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +726,11 @@ class BorderedSuturedDiagram:
     m: int
     pieces: tuple[TubePiece, ...] = ()
 
+    @cached_property
+    def generators(self) -> GeneratorSet:
+        # the count ignores `pieces`, so `attach_tube_cutting` carries it over
+        return GeneratorSet(_subset_dp(self))
+
 
 def _ring_from_cusp(geom: _Geom, w: str) -> list:
     """Wall exits and branch legs in circle order around a switch, read
@@ -778,7 +761,7 @@ def build_diagram(
     reduction may have replaced the input system by an equivalent one).
     """
     graph = assign.graph
-    if graph.basis.union != basis.union or graph.basis.curves != basis.curves:
+    if graph.basis.curves != basis.curves:
         raise ValueError("basis does not match the reduced graph; pass graph.basis")
     if t is not basis.geom.t and t != basis.geom.t:
         raise ValueError("basis was drawn on another track; pass the track of normalize_basis")
@@ -809,9 +792,9 @@ def build_diagram(
         cross[(a, b)] = cross.get((a, b), 0) + 1
 
     # curve components against the branch arcs
-    for ci, comp in enumerate(basis.components):
-        for b, _eps in comp.crossings:
-            add(f"a1.{b}", f"bc{ci}")
+    for ci in range(m):
+        for e in geom.comp_word(ci):
+            add(f"a1.{e.branch}", f"bc{ci}")
 
     # wall arcs: detachment at both ends, taking the shorter way around the
     # circle from the exit to the plain suture arc, plus interior crossings
@@ -875,12 +858,10 @@ def count_generators(d: BorderedSuturedDiagram) -> GeneratorSet:
     """Count sets of crossing points that occupy every beta circle exactly
     once and every arc at most once, alphas pairwise distinct.
 
-    Cached on the diagram, outside its fields; `attach_tube_cutting`
-    carries the cache over to the tube-cut diagram.
+    The diagram's cached `generators`; `attach_tube_cutting` carries a
+    computed count over to the tube-cut diagram.
     """
-    if not hasattr(d, "_gens"):
-        object.__setattr__(d, "_gens", GeneratorSet(_subset_dp(d)))
-    return d._gens
+    return d.generators
 
 
 def _subset_dp(d: BorderedSuturedDiagram) -> int:
@@ -943,8 +924,8 @@ def attach_tube_cutting(
         pieces.append(TubePiece(switch=c.switch, factor=factor))
         factor_total *= factor
     d2 = replace(d, pieces=tuple(pieces))
-    if hasattr(d, "_gens"):  # the count of d itself, never the caller's gens
-        object.__setattr__(d2, "_gens", d._gens)
+    if "generators" in vars(d):  # the count of d itself, never the caller's gens
+        vars(d2)["generators"] = d.generators
     return d2, GeneratorSet(gens.count * factor_total)
 
 

@@ -357,14 +357,19 @@ def _reduce(m: tuple[int, ...], raw: list[int]) -> tuple[int, ...]:
     return tuple(raw[:d]) if len(raw) >= d else tuple(raw) + (0,) * (d - len(raw))
 
 
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer polynomials, low to high, untrimmed."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def _mul_num(f: NumberField, x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
     """Integer coordinates of the product of two integer coordinate vectors."""
-    raw = [0] * (2 * f.degree - 1)
-    for i, a in enumerate(x):
-        if a:
-            for j, b in enumerate(y):
-                raw[i + j] += a * b
-    return _reduce(f.minpoly, raw)
+    return _reduce(f.minpoly, _poly_mul(x, y))
 
 
 def nf_arith(op: str, a: NFElement, b: NFElement) -> NFElement:
@@ -388,14 +393,7 @@ def nf_arith(op: str, a: NFElement, b: NFElement) -> NFElement:
 
 def _mul_matrix(f: NumberField, num: Sequence[int]) -> list[list[int]]:
     """Matrix of multiplication by `num` on the power basis; column j is num lambda^j."""
-    col = list(num)
-    cols = [col]
-    for _ in range(f.degree - 1):
-        top = col[-1]
-        col = [0] + col[:-1]
-        if top:
-            col = [c - top * mi for c, mi in zip(col, f.minpoly)]
-        cols.append(col)
+    cols = [_mul_num(f, num, (0,) * j + (1,)) for j in range(f.degree)]
     return [list(row) for row in zip(*cols)]
 
 
@@ -483,12 +481,7 @@ def _pm_add(a: list[int], b: list[int], m: int, c: int = 1) -> list[int]:
 
 
 def _pm_mul(a: list[int], b: list[int], m: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim([c % m for c in out])
+    return _trim([c % m for c in _poly_mul(a, b)])
 
 
 def _pm_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:

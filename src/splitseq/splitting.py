@@ -5,8 +5,8 @@ the exact comparison of the two diagonal weights; the resulting track is
 carried by the old one and the elementary incidence matrix transports the
 new measure back: m_pre = elem * m_post, coordinatewise in Q(lambda).
 `split_surgery` is the surgery alone, for a case chosen without a measure.
-The large branches of a track are found in one pass over its switches and
-cached on the track, so every guard and the cycle certificate read one set.
+The large branches of a track are its cached `large_set`, so every guard
+and the cycle certificate read one set.
 
 A puncture mark names a cusp (`CuspRef`) whose region is punctured, and it
 moves with its cusp corner on every split.  A left or right split trades
@@ -28,9 +28,9 @@ built; no later stage decides one again.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, reduce
 from math import gcd, lcm
 from typing import Optional
 
@@ -52,7 +52,6 @@ from .traintrack import (
     TrackIso,
     TrainTrack,
     check_measure,
-    serialize_track,
     track_isomorphisms,
 )
 
@@ -136,38 +135,21 @@ def incidence_compose(a: CarryingMatrix, b: CarryingMatrix) -> CarryingMatrix:
 
 
 def track_id(t: TrainTrack) -> str:
-    """Short hash of the track's text; computed once and cached on the
-    track, outside its fields, so a split's post-split id serves as the
-    next split's pre-split id."""
-    cached = getattr(t, "_tid", None)
-    if cached is None:
-        cached = hashlib.blake2s(serialize_track(t).encode(), digest_size=4).hexdigest()
-        object.__setattr__(t, "_tid", cached)
-    return cached
+    """The track's cached `track_id`, hashed once per track, so a split's
+    post-split id serves as the next split's pre-split id."""
+    return t.track_id
 
 
 # ---------------------------------------------------------------------------
 # move preconditions
 
 
-def _large_set(t: TrainTrack) -> frozenset[str]:
-    """The large branches: both ends are the large ends of trivalent
-    switches, necessarily two different ones.  Built in one pass over the
-    switches and cached on the track, outside its fields."""
-    cached = getattr(t, "_large", None)
-    if cached is None:
-        ends = {sw.large for sw in t.switches if sw.is_generic}
-        cached = frozenset(e.branch for e in ends if e.end == 0 and e.other() in ends)
-        object.__setattr__(t, "_large", cached)
-    return cached
-
-
 def is_large_branch(t: TrainTrack, branch: str) -> bool:
-    return branch in _large_set(t)
+    return branch in t.large_set
 
 
 def large_branches(t: TrainTrack) -> tuple[str, ...]:
-    large = _large_set(t)
+    large = t.large_set
     return tuple(b for b in t.branches if b in large)
 
 
@@ -333,13 +315,12 @@ class AgolCycle:
     period_tracks[k], in the case period_measures[k] decides.  Tied large
     branches share no switch, so each event of a group is read off the
     group's start.  Later stages trust the events and decide no split again.
+    The period m and the cycle matrix are derived from the fields.
     """
 
     n: int
-    m: int
     iso: TrackIso  # later track -> earlier track
     lam: NFElement
-    cycle_matrix: CarryingMatrix
     events: tuple[tuple[SplitEvent, ...], ...]  # one tuple per maximal split
     period_tracks: tuple[TrainTrack, ...]  # tau_n .. tau_{n+m}
     period_measures: tuple[Measure, ...]
@@ -354,8 +335,18 @@ class AgolCycle:
                     raise ReplayMismatch(f"recorded period does not split {ev.branch} {ev.case.value}")
 
     @property
+    def m(self) -> int:
+        return len(self.events)
+
+    @property
     def start_track(self) -> TrainTrack:
         return self.period_tracks[0]
+
+    @cached_property
+    def cycle_matrix(self) -> CarryingMatrix:
+        """The period's incidence matrices in order, closed by the isomorphism."""
+        close = CarryingMatrix.of_iso(self.period_tracks[-1], self.period_tracks[0], self.iso)
+        return reduce(incidence_compose, self.period_elems + (close,))
 
 
 def _state_key(t: TrainTrack, m: Measure):
@@ -405,7 +396,7 @@ def find_agol_cycle(t: TrainTrack, m: Measure, max_iters: int) -> AgolCycle:
     """Iterate maximal splits until a state repeats projectively.
 
     Returns the first recurrence (n, m) in iteration order together with the
-    ribbon isomorphism, the stretch factor, and the period incidence matrix.
+    ribbon isomorphism, the stretch factor and the period's splits.
     Earlier states are looked up by `_state_key`, a filter on the weights
     only: an integer key per state, equal exactly when the states' points
     w_b / sum are equal.  `_match_states` decides each candidate exactly,
@@ -440,16 +431,10 @@ def find_agol_cycle(t: TrainTrack, m: Measure, max_iters: int) -> AgolCycle:
             if hit is None:
                 continue
             iso, lam = hit
-            period = elems[j]
-            for k in range(j + 1, i):
-                period = incidence_compose(period, elems[k])
-            cycle = incidence_compose(period, CarryingMatrix.of_iso(t2, tracks[j], iso))
             return AgolCycle(
                 n=j,
-                m=i - j,
                 iso=iso,
                 lam=lam,
-                cycle_matrix=cycle,
                 events=tuple(step_events[j:i]),
                 period_tracks=tuple(tracks[j : i + 1]),
                 period_measures=tuple(measures[j : i + 1]),

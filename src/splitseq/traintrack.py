@@ -8,7 +8,7 @@ side_b.  For a generic (trivalent) switch one side holds the large end and
 the other holds (small_right, small_left); the cusp is the corner between
 the two small ends.  Everything else - complementary regions, genus -
 is derived from this data by face tracing, never stored in the track's
-fields; the traced regions are cached on the track, outside them.
+fields; each derived value is a cached property of the track.
 
 Measures assign elements of a number field Q(lambda) to branches; switch
 conditions and positivity are decided exactly.
@@ -19,9 +19,11 @@ local, so it commutes with lifting: a lifted torus cycle is a cycle again.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import add, sub
 from typing import NamedTuple, Optional, Sequence
@@ -189,14 +191,31 @@ class TrainTrack:
         return all(sw.is_generic for sw in self.switches)
 
     def switch_of(self, e: BranchEnd) -> Switch:
-        return self._end_to_switch()[e]
+        return self._end_to_switch[e]
 
+    @cached_property
     def _end_to_switch(self) -> dict[BranchEnd, Switch]:
-        cache = getattr(self, "_e2s", None)
-        if cache is None:
-            cache = {e: sw for sw in self.switches for e in sw.ccw()}
-            object.__setattr__(self, "_e2s", cache)
-        return cache
+        return {e: sw for sw in self.switches for e in sw.ccw()}
+
+    @cached_property
+    def large_set(self) -> frozenset[str]:
+        """The large branches: both ends are the large ends of trivalent
+        switches, necessarily two different ones.  One pass over the switches."""
+        ends = {sw.large for sw in self.switches if sw.is_generic}
+        return frozenset(e.branch for e in ends if e.end == 0 and e.other() in ends)
+
+    @cached_property
+    def track_id(self) -> str:
+        """Short hash of the track's text."""
+        return hashlib.blake2s(serialize_track(self).encode(), digest_size=4).hexdigest()
+
+    @cached_property
+    def _regions(self) -> tuple[Region, ...]:
+        return _trace_regions(self)
+
+    @cached_property
+    def _canonical_form(self) -> tuple[tuple, tuple[Labeling, ...]]:
+        return _minimal_words(self)
 
     def ccw_next(self, e: BranchEnd) -> BranchEnd:
         word = self.switch_of(e).ccw()
@@ -267,12 +286,8 @@ def _rotate_min(boundary, corners):
 def regions(t: TrainTrack) -> tuple[Region, ...]:
     """Orbit decomposition of arrival half-branches under the face map.
 
-    Traced once per track and cached on it, outside its fields."""
-    cached = getattr(t, "_regs", None)
-    if cached is None:
-        cached = _trace_regions(t)
-        object.__setattr__(t, "_regs", cached)
-    return cached
+    Traced once per track, as the track's cached `_regions`."""
+    return t._regions
 
 
 def _trace_regions(t: TrainTrack) -> tuple[Region, ...]:
@@ -750,10 +765,11 @@ def _emit(t: TrainTrack, start: BranchEnd):
 def canonical_form(t: TrainTrack) -> tuple[tuple, tuple[Labeling, ...]]:
     """Lexicographically minimal BFS word over all starting flags, with labelings.
 
-    Computed once per track and cached on it, outside its fields."""
-    cached = getattr(t, "_canon", None)
-    if cached is not None:
-        return cached
+    Computed once per track, as the track's cached `_canonical_form`."""
+    return t._canonical_form
+
+
+def _minimal_words(t: TrainTrack) -> tuple[tuple, tuple[Labeling, ...]]:
     if not t.branches:
         raise ValueError("track has no branches")
     best_word = None
@@ -765,9 +781,7 @@ def canonical_form(t: TrainTrack) -> tuple[tuple, tuple[Labeling, ...]]:
                 best_word, labelings = word, [lab]
             elif word == best_word:
                 labelings.append(lab)
-    cached = (best_word, tuple(labelings))
-    object.__setattr__(t, "_canon", cached)
-    return cached
+    return best_word, tuple(labelings)
 
 
 @dataclass(frozen=True)

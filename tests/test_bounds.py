@@ -388,7 +388,7 @@ def test_tie_groups_read_the_same_from_the_group_start():
         elems.append(elem)
     # the certificate reads every case off its group's start, and agrees
     period = dict(
-        n=0, m=2, iso=None, lam=nf_const(RATIONALS, 2), cycle_matrix=product,
+        n=0, iso=None, lam=nf_const(RATIONALS, 2),
         period_tracks=tuple(tracks), period_measures=tuple(measures), period_elems=tuple(elems),
     )
     AgolCycle(events=tuple(groups), **period)
@@ -405,7 +405,7 @@ def test_cusp_data_refuses_a_central_split():
     assert [ev.case for ev in events] == [SplitCase.CENTRAL, SplitCase.LEFT]
     with pytest.raises(ReplayMismatch, match="b0 central"):
         AgolCycle(
-            n=0, m=1, iso=None, lam=nf_const(m.field, 2), cycle_matrix=elem, events=(events,),
+            n=0, iso=None, lam=nf_const(m.field, 2), events=(events,),
             period_tracks=(t, t2), period_measures=(m, m2), period_elems=(elem,),
         )
 

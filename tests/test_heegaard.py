@@ -197,8 +197,8 @@ def test_cut_is_the_smaller_low_stack(name, top, bases):
     # every compatible vector with small entries, alone and as two parallel
     # copies: the low and high stacks of a triangle side fill its points,
     # the cut is the least minimiser of the crossings of the two branch
-    # halves, and the legs cross the system at most `length` times, so the
-    # guard on 2 * length in normalize_basis never fires
+    # halves, and the legs cross the system at most `length` times, so
+    # normalize_basis needs no guard on the leg crossings
     t = load(name)
     seen = 0
     for v in itertools.product(range(top + 1), repeat=t.l):
@@ -216,7 +216,7 @@ def test_cut_is_the_smaller_low_stack(name, top, bases):
             check_cuts(geom)
             if basis:
                 seen += 1
-                assert sum(len(c.crossings) for c in basis.components) <= basis.length
+                assert sum(len(basis.geom.comp_word(ci)) for ci in range(basis.m)) <= basis.length
     assert seen == bases
 
 

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_text
-from splitseq import splitting
+from splitseq import splitting, traintrack
 from splitseq.numberfield import (
     _is_primitive,
     nf_const,
@@ -242,7 +242,7 @@ def test_large_set_is_built_once_per_track(monkeypatch):
     reads = []
     real = Switch.large
     monkeypatch.setattr(Switch, "large", property(lambda sw: reads.append(sw) or real.fget(sw)))
-    monkeypatch.setattr(splitting, "serialize_track", repr)
+    monkeypatch.setattr(traintrack, "serialize_track", repr)
     t, m = torus()
     cyc = find_agol_cycle(t, m, 10)
     # one build per split track; the guards and the certificate only read it
@@ -389,8 +389,8 @@ def test_incidence_compose_matches_two_step():
 def test_track_id_is_computed_once_per_track(monkeypatch):
     t, m = torus()
     serialized = []
-    real = splitting.serialize_track
-    monkeypatch.setattr(splitting, "serialize_track", lambda tr: serialized.append(tr) or real(tr))
+    real = traintrack.serialize_track
+    monkeypatch.setattr(traintrack, "serialize_track", lambda tr: serialized.append(tr) or real(tr))
     t1, m1, e1, _ = maximal_split(t, m)
     _, _, e2, _ = maximal_split(t1, m1)
     # the post-split id of the first split is the pre-split id of the second
@@ -437,6 +437,27 @@ def test_agol_cycle_on_torus():
     assert _is_primitive([list(r) for r in cyc.cycle_matrix.entries]) == 3
 
 
+def assert_perron_identity(cyc):
+    # the derived cycle matrix folds the period's matrices in order and
+    # closes them through the isomorphism, so it fixes the start measure
+    # up to the stretch factor, exactly
+    mu = cyc.period_measures[0]
+    applied = transport(cyc.cycle_matrix, mu)
+    assert applied.names == mu.names
+    assert all((applied.weight(b) - cyc.lam * w).is_zero() for b, w in mu.weights)
+
+
+def test_perron_identity_on_seeded_torus_words():
+    rng = random.Random("perron identity")
+    words = set()
+    while len(words) < 200:
+        w = "".join(rng.choice("RL") for _ in range(rng.randint(3, 12)))
+        if "R" in w and "L" in w:
+            words.add(w)
+    for w in sorted(words):
+        assert_perron_identity(find_agol_cycle(*torus_word_state(w), 200))
+
+
 def test_cycle_lambda_minpoly():
     t, m = torus()
     cyc = find_agol_cycle(t, m, 10)
@@ -450,6 +471,7 @@ def test_genus2_lift_cycle():
     cyc = find_agol_cycle(t, m, 10)
     assert (t.genus, cyc.n, cyc.m) == (2, 0, 3)
     assert nf_minpoly(cyc.lam)[0] == (F(1), F(-4), F(1))
+    assert_perron_identity(cyc)
 
 
 def test_genus3_lift_cycle_is_pinned():
@@ -497,6 +519,7 @@ def test_lifted_torus_cycles_certify(word, perms):
     base = find_agol_cycle(t, m, 64)
     lift = find_agol_cycle(*cover_track(t, m, perms), 400)
     assert lift.m % base.m == 0
+    assert_perron_identity(lift)
     power = nf_const(m.field, 1)
     for _ in range(lift.m // base.m):
         power = power * base.lam

@@ -18,7 +18,7 @@ from operator import add
 from typing import Optional
 
 from .numberfield import _identity, _is_primitive, _mat_mul
-from .splitting import AgolCycle, CarryingMatrix, incidence_compose
+from .splitting import AgolCycle, CarryingMatrix
 from .traintrack import BranchEnd, NotFilling, TrainTrack, _region_conditions, regions
 
 
@@ -118,16 +118,16 @@ def _period_cusp_data(cycle: AgolCycle):
     name to the name whose cusp the map lands on, and gamma[name] counts how
     often the connecting train path runs over each start-track branch.
 
-    Nothing is split or decided again (the cycle certified its events).
-    Group k of the events is read off the recorded track before it, and the
-    split branch's column off the product of the earlier groups' matrices.
+    Nothing is split, decided or folded again: the cycle certified its
+    events and folded its period once.  Group k of the events is read off
+    the recorded track before it, and the split branch's column off
+    `period_products[k]`, the product of the earlier groups' matrices.
     """
     t0 = cycle.start_track
     sigma = {sw.name: sw.name for sw in t0.switches}
     gamma = {sw.name: [0] * t0.l for sw in t0.switches}
-    composed = CarryingMatrix.identity(t0.branches)
 
-    for cur_t, step, elem in zip(cycle.period_tracks, cycle.events, cycle.period_elems):
+    for cur_t, step, composed in zip(cycle.period_tracks, cycle.events, cycle.period_products):
         for ev in step:
             u_name, v_name = (cur_t.switch_of(BranchEnd(ev.branch, e)).name for e in (0, 1))
             # push the local crossing of ev.branch into start-track counts
@@ -138,7 +138,6 @@ def _period_cusp_data(cycle: AgolCycle):
                 [a + b for a, b in zip(local, gamma[v_name])],
                 [a + b for a, b in zip(local, gamma[u_name])],
             )
-        composed = incidence_compose(composed, elem)
 
     # fold the closing isomorphism in: a start-track cusp is first pulled
     # back through it (the iso maps end-track switches to start-track ones),

@@ -16,29 +16,35 @@ each mark moves to its corner there.
 
 Iterating maximal splits on a positive measure detects the eventual
 periodicity (preperiod n, period m, a ribbon isomorphism, and a stretch
-factor lambda > 1).  Each state is keyed by its projectivized weights
-alone, computed in integers: one inversion of the weight sum and one
-integer product per weight, then the primitive integer multiple of the
-point.  That is a canonical form of the projective point, so its classes
-are those of the point's rational coordinates.  Only states with equal
-keys are compared by a ribbon isomorphism, so canonical forms are built
-only when keys collide.  An `AgolCycle` certifies its splits once, when
-built; no later stage decides one again.
+factor lambda > 1).  Each state gets one integer projective point, the
+primitive integer multiple of (w_b / sum of weights)_b: per weight one
+integer product with the adjugate column of the weight sum's
+multiplication matrix, which costs d minors and no field arithmetic.
+The sorted point keys the state.  It is a canonical form of the
+projective point, so its classes are those of the point's rational
+coordinates.  Only states with equal keys are compared by a ribbon
+isomorphism, which matches when it carries the one point onto the other,
+so canonical forms are built only when keys collide.  An `AgolCycle`
+certifies its splits once, when built, and folds its period's matrices
+once; no later stage decides a split or folds the period again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cached_property
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Optional
 
 from .numberfield import (
+    DivisionByZero,
     NFElement,
+    _det_int,
     _identity,
-    _invert,
     _mat_mul,
+    _mul_matrix,
     _mul_num,
     nf_const,
     nf_sign,
@@ -315,7 +321,11 @@ class AgolCycle:
     period_tracks[k], in the case period_measures[k] decides.  Tied large
     branches share no switch, so each event of a group is read off the
     group's start.  Later stages trust the events and decide no split again.
-    The period m and the cycle matrix are derived from the fields.
+    The period m, the period's prefix products and the cycle matrix are
+    derived from the fields; the period is folded once, in
+    `period_products`, which both the cycle matrix and `bounds` read.
+    A cycle built with no `iso` carries its event certificate only, and
+    reading its cycle matrix raises `ReplayMismatch`.
     """
 
     n: int
@@ -343,50 +353,85 @@ class AgolCycle:
         return self.period_tracks[0]
 
     @cached_property
+    def period_products(self) -> tuple[CarryingMatrix, ...]:
+        """Prefix products of `period_elems`: entry k transports measures on
+        period_tracks[k] back to the start track, entry 0 is the identity and
+        entry m the whole period; m - 1 products in all."""
+        return (CarryingMatrix.identity(self.start_track.branches),) + tuple(
+            accumulate(self.period_elems, incidence_compose)
+        )
+
+    @cached_property
     def cycle_matrix(self) -> CarryingMatrix:
-        """The period's incidence matrices in order, closed by the isomorphism."""
+        """The period's product, closed by the isomorphism."""
+        if self.iso is None:
+            raise ReplayMismatch("the cycle records no closing isomorphism")
         close = CarryingMatrix.of_iso(self.period_tracks[-1], self.period_tracks[0], self.iso)
-        return reduce(incidence_compose, self.period_elems + (close,))
+        return incidence_compose(self.period_products[-1], close)
 
 
-def _state_key(t: TrainTrack, m: Measure):
-    """The projective point (w_b / sum of weights)_b as sorted, primitive
-    integer coordinate vectors.
+def _state_point(m: Measure) -> dict[str, tuple[int, ...]]:
+    """The projective point (w_b / sum of weights)_b, by branch, as its
+    primitive positive integer multiple.
 
     Cleared to one common denominator, the weights are integer vectors
-    n_b, and their sum inverts once to u / e with e > 0.  Then
-    w_b / sum = n_b u / e: the products n_b u are the point's coordinates
-    times e, and dividing them by the gcd of all their coordinates leaves
-    the point's primitive positive multiple, which depends on the point
-    alone.  The point's coordinates sum to 1, which fixes the multiple, so
-    two states get equal keys exactly when their points, as multisets, are
-    equal: the classes of the rational (num, den) pairs of w_b / sum.
-
-    A ribbon isomorphism only permutes branches, and a factor lambda
-    cancels in the point, so projectively isomorphic states get equal
-    keys.  The key builds no canonical form; equal keys only pick the
-    candidates that `_match_states`, the one exact test, decides.  The
-    track enters only through that test."""
+    n_b with sum S.  The first column a of the adjugate of S's
+    multiplication matrix, d signed minors, satisfies S a = det, so each
+    product n_b a is det times the point's coordinate w_b / sum.  The
+    products sum to S a, whose constant coordinate is det, so that sum
+    gives the sign without a determinant; divided by the gcd of all
+    coordinates, signed so, they are the point's primitive positive
+    multiple.  The point's coordinates sum to 1, which fixes the multiple,
+    so it depends on the point alone.  No field element is built and
+    nothing is inverted."""
     f = m.field
     den = lcm(*(w.den for _, w in m.weights))
     nums = [[c * (den // w.den) for c in w.num] for _, w in m.weights]
-    inv = _invert(NFElement(f, tuple(map(sum, zip(*nums)))))
-    vecs = [_mul_num(f, v, inv.num) for v in nums]
+    mul = _mul_matrix(f, tuple(map(sum, zip(*nums))))
+    adj = [(-1) ** i * _det_int([row[:i] + row[i + 1 :] for row in mul[1:]]) for i in range(len(mul))]
+    vecs = [_mul_num(f, v, adj) for v in nums]
+    det = sum(v[0] for v in vecs)
+    if not det:  # only when the minimal polynomial is reducible
+        raise DivisionByZero("weight sum is a zero divisor")
     g = gcd(*(c for v in vecs for c in v))
-    return tuple(sorted(tuple(c // g for c in v) for v in vecs))
+    if det < 0:
+        g = -g
+    return {b: tuple(c // g for c in v) for (b, _), v in zip(m.weights, vecs)}
+
+
+def _state_key(t: TrainTrack, m: Measure, point: dict[str, tuple[int, ...]]):
+    """The state's point as a sorted tuple of its coordinate vectors.
+
+    Two states get equal keys exactly when their points, as multisets, are
+    equal: the classes of the rational (num, den) pairs of w_b / sum.  A
+    ribbon isomorphism only permutes branches, and a factor lambda cancels
+    in the point, so projectively isomorphic states get equal keys.  The
+    key builds no canonical form; equal keys only pick the candidates that
+    `_match_states`, the one exact test, decides.  The track and measure
+    go unread; they complete the state, so a finer key that reads them (a
+    canonical form, say) fits the same call."""
+    return tuple(sorted(point.values()))
 
 
 def _match_states(
-    t_new: TrainTrack, m_new: Measure, t_old: TrainTrack, m_old: Measure
+    t_new: TrainTrack,
+    m_new: Measure,
+    p_new: dict[str, tuple[int, ...]],
+    t_old: TrainTrack,
+    m_old: Measure,
+    p_old: dict[str, tuple[int, ...]],
 ) -> Optional[tuple[TrackIso, NFElement]]:
-    """Iso old <- new with m_old = lam * (m_new transported), lam > 1."""
+    """Iso old <- new with m_old = lam * (m_new transported), lam > 1.
+
+    An isomorphism matches exactly when p_old[iso(b)] == p_new[b] for every
+    branch b: it is a bijection on branches, so it carries the weight sum
+    of the new state onto that of the old, and equal points then mean
+    m_old = lam * m_new with lam the ratio of the sums.  Only a match costs
+    field arithmetic: lam by one division, and the sign of lam - 1."""
+    b0 = t_new.branches[0]
     for iso in track_isomorphisms(t_new, t_old):
-        b0 = t_new.branches[0]
-        lam = m_old.weight(iso.branch_image(b0)[0]) / m_new.weight(b0)
-        if all(
-            (m_old.weight(iso.branch_image(b)[0]) - lam * m_new.weight(b)).is_zero()
-            for b in t_new.branches
-        ):
+        if all(p_old[iso.branch_image(b)[0]] == p for b, p in p_new.items()):
+            lam = m_old.weight(iso.branch_image(b0)[0]) / m_new.weight(b0)
             if nf_sign(lam - nf_const(lam.field, 1)) == 1:
                 return iso, lam
     return None
@@ -397,10 +442,12 @@ def find_agol_cycle(t: TrainTrack, m: Measure, max_iters: int) -> AgolCycle:
 
     Returns the first recurrence (n, m) in iteration order together with the
     ribbon isomorphism, the stretch factor and the period's splits.
-    Earlier states are looked up by `_state_key`, a filter on the weights
-    only: an integer key per state, equal exactly when the states' points
-    w_b / sum are equal.  `_match_states` decides each candidate exactly,
-    earliest first, so the key never changes which recurrence is found.
+    Each state's integer point (`_state_point`) is computed once and kept.
+    Earlier states are looked up by `_state_key`, a filter on the point
+    only, equal exactly when the states' points w_b / sum are equal as
+    multisets.  `_match_states` decides each candidate exactly on the two
+    points, earliest first, so the key never changes which recurrence is
+    found.
     """
     if set(m.names) != set(t.branches):
         raise FieldMismatch("measure branch set does not match track")
@@ -409,25 +456,27 @@ def find_agol_cycle(t: TrainTrack, m: Measure, max_iters: int) -> AgolCycle:
     if any(nf_sign(w) != 1 for _, w in m.weights):
         raise InvalidMeasure("cycle detection needs a strictly positive measure")
 
-    tracks, measures = [t], [m]
+    tracks, measures, points = [t], [m], [_state_point(m)]
     elems: list[CarryingMatrix] = []  # elems[k]: m_k = elems[k] * m_{k+1}
     step_events: list[tuple[SplitEvent, ...]] = []
     seen: dict = {}
-    seen.setdefault(_state_key(t, m), []).append(0)
+    seen.setdefault(_state_key(t, m, points[0]), []).append(0)
 
     for step in range(max_iters):
         try:
             t2, m2, elem, events = _maximal_split(tracks[-1], measures[-1])
         except NoLargeBranch as exc:
             raise NoCycleWithinBudget(f"splitting stalled after {step} steps: {exc}") from None
+        point = _state_point(m2)
         tracks.append(t2)
         measures.append(m2)
+        points.append(point)
         elems.append(elem)
         step_events.append(events)
         i = len(tracks) - 1
-        key = _state_key(t2, m2)
+        key = _state_key(t2, m2, point)
         for j in seen.get(key, ()):
-            hit = _match_states(t2, m2, tracks[j], measures[j])
+            hit = _match_states(t2, m2, point, tracks[j], measures[j], points[j])
             if hit is None:
                 continue
             iso, lam = hit

@@ -9,6 +9,7 @@ M^3 = [[9,4,4],[4,1,4],[12,4,9]] is positive with row sums (17, 9, 25).
 import dataclasses
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import groupby
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitseq import bounds
+from splitseq import bounds, splitting
 from splitseq.bounds import (
     BoundReport,
     BoundViolated,
@@ -150,6 +151,37 @@ def test_torus_cycle_r_and_K():
     assert cyc.cycle_matrix.entries == TORUS_M
     assert r_of_psi(cyc.cycle_matrix) == 3
     assert power_positive_K(cyc.cycle_matrix) == 3
+
+
+@pytest.mark.parametrize("fixture", [None, "genus2_cycle.track"])
+def test_one_fold_serves_the_cycle_matrix_and_the_cusp_transport(fixture, monkeypatch):
+    if fixture is None:
+        t, m = torus_word_state("RRL")
+    else:
+        t, m = parse_track((FIXTURES / fixture).read_text())
+    cyc = find_agol_cycle(t, m, 50)
+    products = cyc.period_products
+    assert len(products) == cyc.m + 1 == 4
+    assert products[0] == CarryingMatrix.identity(t.branches)
+    for k in range(1, cyc.m + 1):
+        assert products[k] == reduce(incidence_compose, cyc.period_elems[:k])
+    # a copy has empty caches: a bound report then folds its period once,
+    # m - 1 products and one closing product
+    expected = bound_report(cyc)
+    fresh = dataclasses.replace(cyc)
+    calls = []
+    real = splitting.incidence_compose
+    monkeypatch.setattr(splitting, "incidence_compose", lambda a, b: calls.append(a) or real(a, b))
+    assert bound_report(fresh) == expected
+    assert len(calls) == cyc.m
+
+
+def test_a_cycle_without_its_isomorphism_refuses_the_cycle_matrix():
+    cyc = dataclasses.replace(torus_cycle(), iso=None)
+    with pytest.raises(ReplayMismatch, match="no closing isomorphism"):
+        cyc.cycle_matrix
+    with pytest.raises(ReplayMismatch, match="no closing isomorphism"):
+        bound_report(cyc)
 
 
 def test_torus_cusp_transport_single_period():

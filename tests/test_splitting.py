@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from conftest import FIXTURES, fixture_text
 from splitseq import splitting, traintrack
 from splitseq.numberfield import (
+    DivisionByZero,
     _is_primitive,
+    field_create,
     nf_const,
     nf_element,
     nf_minpoly,
@@ -30,6 +32,7 @@ from splitseq.splitting import (
     SplitEvent,
     _match_states,
     _state_key,
+    _state_point,
     find_agol_cycle,
     incidence_compose,
     is_large_branch,
@@ -54,7 +57,7 @@ from splitseq.traintrack import (
     track_isomorphisms,
     validate,
 )
-from state_key_oracle import canonical_state_key, rational_state_key
+from state_key_oracle import canonical_state_key, rational_match, rational_state_key
 from transport_oracle import transport
 from trackgen import (
     RATIONALS,
@@ -537,6 +540,17 @@ def test_cycle_budget_exhaustion():
         find_agol_cycle(tt, rational_measure(tt, {"a": 3, "b": 1, "c": 4}), 10)
 
 
+def test_a_weight_sum_that_is_a_zero_divisor_is_refused():
+    # x^2 - 1 is reducible: at its root 1 the weights are positive, but their
+    # sum 2 (1 + x) times 1 - x is 0, so no projective point exists
+    field = field_create((-1, 0, 1), (F(1, 2), F(2)))
+    x = nf_element(field, [F(0), F(1)])
+    t, _ = torus()
+    m = Measure.of(field, {"a": x, "b": nf_const(field, 1), "c": 1 + x})
+    with pytest.raises(DivisionByZero, match="zero divisor"):
+        find_agol_cycle(t, m, 5)
+
+
 def test_cycle_needs_positive_measure():
     t, m = torus()
     zero = Measure.of(m.field, {b: nf_const(m.field, 0) for b in t.branches})
@@ -563,6 +577,10 @@ def test_detector_is_deterministic():
 
 # ---------------------------------------------------------------------------
 # the cycle-search key only picks candidates
+
+
+def state_key(t, m):
+    return _state_key(t, m, _state_point(m))
 
 
 def cycle_outcome(t, m):
@@ -595,7 +613,7 @@ def test_cycles_agree_with_the_canonical_form_key(monkeypatch):
     got = [cycle_outcome(t, m) for t, m in states]
     assert sum(isinstance(out, tuple) for out in got) >= 301  # every torus state certifies
     for key in (canonical_state_key, rational_state_key):
-        monkeypatch.setattr(splitting, "_state_key", key)
+        monkeypatch.setattr(splitting, "_state_key", lambda t, m, point, key=key: key(t, m))
         assert [cycle_outcome(t, m) for t, m in states] == got
 
 
@@ -608,10 +626,12 @@ def test_integer_key_classes_are_the_rational_key_classes(monkeypatch):
     # every state the cycle search keys
     states = []
     real = splitting._state_key
-    monkeypatch.setattr(splitting, "_state_key", lambda t, m: states.append((t, m)) or real(t, m))
+    monkeypatch.setattr(
+        splitting, "_state_key", lambda t, m, point: states.append((t, m)) or real(t, m, point)
+    )
     for t, m in starts:
         find_agol_cycle(t, m, 400)
-    pairs = {(_state_key(t, m), rational_state_key(t, m)) for t, m in states}
+    pairs = {(state_key(t, m), rational_state_key(t, m)) for t, m in states}
     ints, rats = {k for k, _ in pairs}, {r for _, r in pairs}
     # a bijection between the classes; every search ends on a repeated key
     assert len(pairs) == len(ints) == len(rats)
@@ -622,8 +642,42 @@ def test_a_constant_key_finds_the_same_torus_cycles(monkeypatch):
     # every earlier state is then a candidate, and `_match_states` alone decides
     states = [torus()] + [torus_word_state(w) for w in ("RRL", "RLL", "RRRLRL", "RRLL")]
     got = [cycle_outcome(t, m) for t, m in states]
-    monkeypatch.setattr(splitting, "_state_key", lambda t, m: ())
+    monkeypatch.setattr(splitting, "_state_key", lambda t, m, point: ())
     assert [cycle_outcome(t, m) for t, m in states] == got
+
+
+def test_the_point_match_is_the_rational_match(monkeypatch):
+    # under a constant key every earlier state is a candidate; on each pair
+    # the search meets, matching the integer points must give the iso and
+    # lambda that the field-arithmetic test gives, or None with it
+    rng = random.Random("point match")
+    words = set()
+    while len(words) < 200:
+        w = "".join(rng.choice("RL") for _ in range(rng.randint(3, 12)))
+        if "R" in w and "L" in w:
+            words.add(w)
+    starts = [torus_word_state(w) for w in sorted(words)]
+    starts += [cover_track(*torus_word_state(w), COVER_D3) for w in ("RRL", "RLLRL")]
+    starts += [cover_track(*torus_word_state("RRL"), COVER_D5)]
+    for name in ("genus2_44.track", "genus2_tie.track"):
+        t, _ = parse_track(fixture_text(name))
+        starts += [(t, positive_measure(t, rng)) for _ in range(10)]
+    pairs = []
+    real = splitting._match_states
+
+    def recorded(t_new, m_new, p_new, t_old, m_old, p_old):
+        hit = real(t_new, m_new, p_new, t_old, m_old, p_old)
+        pairs.append(((t_new, m_new, t_old, m_old), hit))
+        return hit
+
+    monkeypatch.setattr(splitting, "_state_key", lambda t, m, point: ())
+    monkeypatch.setattr(splitting, "_match_states", recorded)
+    for t, m in starts:
+        cycle_outcome(t, m)
+    assert sum(hit is not None for _, hit in pairs) >= 203  # every torus word and cover
+    assert sum(hit is None for _, hit in pairs) > len(pairs) // 2
+    for state, hit in pairs:
+        assert hit == rational_match(*state)
 
 
 # ---------------------------------------------------------------------------
@@ -662,19 +716,29 @@ def test_state_key_is_projective_and_labeling_free(seed):
     t, m = torus()
     lam = nf_element(m.field, [F(0), F(1)])
     t2 = rename_track(t, seed)
+    point = _state_point(m)
+    # the weights (1, lambda - 2, lambda - 1) sum to 2 (lambda - 1), and
+    # 1 / (lambda - 1) = lambda - 2: twice the point is m times lambda - 2
+    assert point == {"a": (-2, 1), "b": (3, -1), "c": (1, 0)}
     for iso in track_isomorphisms(t, t2):
         image = Measure.of(
             m.field, {iso.branch_image(b)[0]: lam * m.weight(b) for b in t.branches}
         )
         assert check_measure(t2, image)
-        assert _state_key(t2, image) == _state_key(t, m)
+        image_point = _state_point(image)
+        assert all(image_point[iso.branch_image(b)[0]] == p for b, p in point.items())
+        assert state_key(t2, image) == state_key(t, m)
+        assert _match_states(t, m, point, t2, image, image_point)[1] == lam
     # c = a + b holds, but b / a = lambda is not m's ratio lambda - 2
     other = Measure.of(m.field, {"a": nf_const(m.field, 1), "b": lam, "c": 1 + lam})
     assert check_measure(t, other)
-    assert _state_key(t, other) != _state_key(t, m)
+    assert state_key(t, other) != state_key(t, m)
     # the key is only a filter: swapping the weights of a and b keeps
     # c = a + b and the key, but a match would need lambda = 1
     swapped = Measure.of(m.field, {"a": m.weight("b"), "b": m.weight("a"), "c": m.weight("c")})
     assert check_measure(t, swapped)
-    assert _state_key(t, swapped) == _state_key(t, m)
-    assert _match_states(t, swapped, t, m) is None
+    assert state_key(t, swapped) == state_key(t, m)
+    assert _match_states(t, swapped, _state_point(swapped), t, m, point) is None
+    # a state matches itself by the identity, but only with lambda = 1
+    assert _match_states(t, m, point, t, m, point) is None
+    assert rational_match(t, m, t, m) is None
